@@ -94,7 +94,7 @@ class ChatCompletionBackend:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.config = config
-        self.backend_id = f"http:{config.model}"
+        self.backend_id = f"http:{config.model}@t{config.temperature}"
         self._transport = transport or _requests_transport
         self._sleep = sleeper
         self._clock = clock

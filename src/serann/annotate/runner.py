@@ -1,9 +1,9 @@
 """Annotation driver: prompt -> cache lookup -> backend -> parsed label.
 
-The cache is an append-only JSONL store keyed by the prompt's cryptographic
-hash, so reruns skip every prompt already answered and an interrupted run
-resumes where it stopped. Results merge deterministically in manifest order
-regardless of request concurrency.
+The cache is an append-only JSONL store keyed by the backend id and the
+prompt's cryptographic hash, so reruns skip every prompt the same backend
+already answered and an interrupted run resumes where it stopped. Results
+merge deterministically in manifest order regardless of request concurrency.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..corpus import UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
 from ..dsp import UtteranceFeatures
+from ..fileio import read_jsonl, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     ContextVariant,
@@ -47,41 +48,64 @@ class AnnotationResult:
     template_version: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # Every field is a str, so a shallow copy is the whole record; this
+        # runs once per cache append.
+        return dict(vars(self))
 
 
 class AnnotationCache:
-    """Append-only JSONL keyed by prompt hash; lookups and appends are
-    serialized, so concurrent annotators can share one instance."""
+    """Append-only JSONL keyed by (backend id, prompt hash), so a shared
+    file never answers one backend with another's replies. Lookups and
+    appends are serialized, so concurrent annotators can share one instance.
+
+    A final line cut short by an interrupted append is dropped on load (and
+    counted in ``dropped``); the file is truncated back to its last complete
+    record so appends start on a fresh line. A malformed line anywhere else
+    is an error.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[tuple[str, str], dict] = {}
+        self.dropped = 0
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._entries[record["prompt_hash"]] = record
+            self.dropped = _drop_torn_tail(self.path)
+            for _, record in read_jsonl(self.path):
+                self._entries[record["backend_id"], record["prompt_hash"]] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, prompt_hash: str) -> dict | None:
+    def get(self, prompt_hash: str, backend_id: str) -> dict | None:
         with self._lock:
-            return self._entries.get(prompt_hash)
+            return self._entries.get((backend_id, prompt_hash))
 
     def put(self, record: dict) -> None:
+        key = (record["backend_id"], record["prompt_hash"])
         with self._lock:
-            if record["prompt_hash"] in self._entries:
+            if key in self._entries:
                 return
-            self._entries[record["prompt_hash"]] = record
+            self._entries[key] = record
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _drop_torn_tail(path: Path) -> int:
+    """Cut an unparseable, unterminated last line; returns lines dropped."""
+    with path.open("rb+") as handle:
+        raw = handle.read()
+        if not raw or raw.endswith(b"\n"):
+            return 0
+        start = raw.rfind(b"\n") + 1
+        try:
+            json.loads(raw[start:])
+        except ValueError:
+            handle.truncate(start)
+            return 1
+        handle.write(b"\n")
+        return 0
 
 
 def annotate(
@@ -97,19 +121,11 @@ def annotate(
     spec = build_prompt(record, variant, few_shot, features, codes)
     prompt_hash = spec.prompt_hash()
     if cache is not None:
-        hit = cache.get(prompt_hash)
+        hit = cache.get(prompt_hash, backend.backend_id)
         if hit is not None:
-            return (
-                AnnotationResult(
-                    utterance_id=record.utterance_id,
-                    label=hit["label"],
-                    raw_response=hit["raw_response"],
-                    backend_id=hit["backend_id"],
-                    prompt_hash=prompt_hash,
-                    template_version=hit["template_version"],
-                ),
-                True,
-            )
+            # Utterances with identical context share a prompt, so a hit may
+            # have been recorded under another utterance id.
+            return AnnotationResult(**{**hit, "utterance_id": record.utterance_id}), True
     request = CompletionRequest(
         system=spec.system, user=spec.user_text(), utterance_id=record.utterance_id
     )
@@ -128,16 +144,7 @@ def annotate(
         template_version=spec.template_version,
     )
     if cache is not None:
-        cache.put(
-            {
-                "prompt_hash": prompt_hash,
-                "utterance_id": record.utterance_id,
-                "label": result.label,
-                "raw_response": raw,
-                "backend_id": backend.backend_id,
-                "template_version": spec.template_version,
-            }
-        )
+        cache.put(result.to_json())
     return result, False
 
 
@@ -189,17 +196,14 @@ def annotate_corpus(
         raise ValueError(f"shots must be 'zero' or 'few', got {shots!r}")
     features_by_id = dict(features_by_id or {})
     codes_by_id = dict(codes_by_id or {})
-    if variant.needs_features:
-        missing = [r.utterance_id for r in records if r.utterance_id not in features_by_id]
-        if missing:
+    for needed, available, what in (
+        (variant.needs_features, features_by_id, "features"),
+        (variant.needs_codes, codes_by_id, "audio codes"),
+    ):
+        missing = [r.utterance_id for r in records if r.utterance_id not in available]
+        if needed and missing:
             raise MissingContextFileError(
-                f"features missing for {len(missing)} records (first: {missing[0]!r})"
-            )
-    if variant.needs_codes:
-        missing = [r.utterance_id for r in records if r.utterance_id not in codes_by_id]
-        if missing:
-            raise MissingContextFileError(
-                f"audio codes missing for {len(missing)} records (first: {missing[0]!r})"
+                f"{what} missing for {len(missing)} records (first: {missing[0]!r})"
             )
 
     few_shot: tuple[FewShotExample, ...] = ()
@@ -209,33 +213,25 @@ def annotate_corpus(
         few_shot = tuple(to_few_shot_examples(chosen, variant, features_by_id, codes_by_id))
 
     def work(record: UtteranceRecord):
-        return annotate(
-            record,
-            variant,
-            backend,
-            cache,
-            few_shot,
-            features_by_id.get(record.utterance_id),
-            codes_by_id.get(record.utterance_id),
-        )
+        try:
+            result, hit = annotate(
+                record,
+                variant,
+                backend,
+                cache,
+                few_shot,
+                features_by_id.get(record.utterance_id),
+                codes_by_id.get(record.utterance_id),
+            )
+        except BackendError as exc:
+            return record, None, False, str(exc)
+        return record, result, hit, None
 
-    outcomes: list[tuple[UtteranceRecord, AnnotationResult | None, bool, str | None]] = []
     if concurrency <= 1:
-        for record in records:
-            try:
-                result, hit = work(record)
-                outcomes.append((record, result, hit, None))
-            except BackendError as exc:
-                outcomes.append((record, None, False, str(exc)))
+        outcomes = [work(record) for record in records]
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool_exec:
-            futures = [(record, pool_exec.submit(work, record)) for record in records]
-            for record, future in futures:
-                try:
-                    result, hit = future.result()
-                    outcomes.append((record, result, hit, None))
-                except BackendError as exc:
-                    outcomes.append((record, None, False, str(exc)))
+            outcomes = list(pool_exec.map(work, records))
 
     results: list[AnnotationResult] = []
     failures: list[dict] = []
@@ -269,24 +265,12 @@ def annotate_corpus(
 
 
 def write_annotations(path, results: Sequence[AnnotationResult]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(results, key=lambda r: r.utterance_id)
-    with path.open("w", encoding="utf-8") as handle:
-        for result in ordered:
-            handle.write(json.dumps(result.to_json(), sort_keys=True) + "\n")
+    write_jsonl(path, (result.to_json() for result in ordered))
 
 
 def load_annotations(path) -> dict[str, AnnotationResult]:
-    out: dict[str, AnnotationResult] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            out[record["utterance_id"]] = AnnotationResult(**record)
-    return out
+    return {record["utterance_id"]: AnnotationResult(**record) for _, record in read_jsonl(path)}
 
 
 def apply_annotations(

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .corpus import LABELS, mean_recall_present
-from .coremath.checkpoint import load_checkpoint, load_into, save_checkpoint
+from .coremath.checkpoint import Checkpointable
 from .coremath.layers import BiLstm, Conv2d, Dense, xavier_uniform
 from .coremath.ops import conv_output_size, softmax_cross_entropy
 from .coremath.optim import Adam
@@ -97,23 +97,26 @@ class ClassifierConfig:
 
 
 def attention_weights(h: Tensor, w: Tensor) -> Tensor:
-    """Softmax over timesteps of the scores w . h_i for ``h`` (T, D)."""
-    if h.ndim != 2:
-        raise ShapeError(f"attention input must be (T, D), got {h.shape}")
-    t, d = h.shape
-    scores = reshape(matmul(h, reshape(w, (d, 1))), (t,))
-    return softmax(scores, axis=0)
+    """Softmax over timesteps of the scores w . h_t for ``h`` (N, T, D);
+    returns (N, T)."""
+    if h.ndim != 3:
+        raise ShapeError(f"attention input must be (N, T, D), got {h.shape}")
+    n, t, d = h.shape
+    scores = reshape(matmul(reshape(h, (n * t, d)), reshape(w, (d, 1))), (n, t))
+    return softmax(scores, axis=1)
 
 
 def attention_pool(h: Tensor, alpha: Tensor) -> Tensor:
-    """Weighted sum over timesteps: sum_i alpha_i * h_i."""
-    t, d = h.shape
-    if alpha.shape != (t,):
-        raise ShapeError(f"weights shape {alpha.shape} must be ({t},)")
-    return reshape(matmul(reshape(alpha, (1, t)), h), (d,))
+    """Weighted sum over timesteps: sum_t alpha_t * h_t, (N, T, D) -> (N, D)."""
+    n, t, d = h.shape
+    if alpha.shape != (n, t):
+        raise ShapeError(f"weights shape {alpha.shape} must be ({n}, {t})")
+    return tensor_sum(mul(reshape(alpha, (n, t, 1)), h), axis=1)
 
 
-class EmotionClassifier:
+class EmotionClassifier(Checkpointable):
+    config_type = ClassifierConfig
+
     def __init__(self, config: ClassifierConfig, rng: Rng, dtype=np.float32):
         self.config = config
         self.dtype = dtype
@@ -161,29 +164,8 @@ class EmotionClassifier:
         feat = self.conv2(self.conv1(mels))  # (N, C, H', T)
         seq = reshape(transpose(feat, (0, 3, 1, 2)), (n, self.seq_len, self.seq_dim))
         hidden = self.blstm(seq)  # (N, T, 2U)
-        t, d = self.seq_len, 2 * cfg.blstm_units
-        scores = reshape(matmul(reshape(hidden, (n * t, d)), reshape(self.att_w, (d, 1))), (n, t))
-        alpha = softmax(scores, axis=1)
-        pooled = tensor_sum(mul(reshape(alpha, (n, t, 1)), hidden), axis=1)
+        pooled = attention_pool(hidden, attention_weights(hidden, self.att_w))
         return self.out(self.fc(pooled))
-
-    def save(self, path) -> None:
-        save_checkpoint(path, {name: t.data for name, t in self.params().items()})
-        sidecar = Path(str(path) + ".config.json")
-        sidecar.write_text(json.dumps(self.config.to_json(), sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path, config: ClassifierConfig | None = None) -> "EmotionClassifier":
-        if config is None:
-            sidecar = Path(str(path) + ".config.json")
-            if not sidecar.exists():
-                raise FileNotFoundError(
-                    f"{sidecar}: config sidecar missing; pass the configuration explicitly"
-                )
-            config = ClassifierConfig.from_json(json.loads(sidecar.read_text()))
-        model = cls(config, Rng(0))
-        load_into(model.params(), load_checkpoint(path))
-        return model
 
 
 def predict(model: EmotionClassifier, mels: np.ndarray, batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:

@@ -30,21 +30,24 @@ from .corpus import (
 from .vqvae import VqVae, VqVaeConfig
 
 
-def _load_config_file(path) -> dict:
+def _config_section(path, section: str) -> dict:
+    """The ``section`` of a --config JSON file; empty without one."""
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
-
-
-def _effective(section: str, config_file: dict, overrides: dict) -> dict:
-    merged = dict(config_file.get(section, {}))
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+    return dict(json.loads(Path(path).read_text()).get(section, {}))
 
 
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _load_mels_for(records, mels_path) -> dict:
+    mels_by_id = dsp.load_mel_cache(mels_path)
+    missing = [r.utterance_id for r in records if r.utterance_id not in mels_by_id]
+    if missing:
+        _fail(f"mel cache is missing {len(missing)} records (first: {missing[0]!r})")
+    return mels_by_id
 
 
 @click.group()
@@ -100,12 +103,9 @@ def cmd_features(manifest_path, features_out, mels_out):
 def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed, epochs, desk_scale, config_path):
     """Train the speech-code autoencoder on cached mels."""
     records = load_manifest(manifest_path)
-    mels_by_id = dsp.load_mel_cache(mels_path)
-    missing = [r.utterance_id for r in records if r.utterance_id not in mels_by_id]
-    if missing:
-        _fail(f"mel cache is missing {len(missing)} records (first: {missing[0]!r})")
+    mels_by_id = _load_mels_for(records, mels_path)
     base = VqVaeConfig.desk() if desk_scale else VqVaeConfig()
-    overrides = _effective("vqvae", _load_config_file(config_path), {})
+    overrides = _config_section(config_path, "vqvae")
     try:
         config = VqVaeConfig.from_json({**base.to_json(), **overrides})
     except (TypeError, ValueError) as exc:
@@ -132,10 +132,7 @@ def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed,
 def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
     """Extract the discrete code sequence for every record."""
     records = load_manifest(manifest_path)
-    mels_by_id = dsp.load_mel_cache(mels_path)
-    missing = [r.utterance_id for r in records if r.utterance_id not in mels_by_id]
-    if missing:
-        _fail(f"mel cache is missing {len(missing)} records (first: {missing[0]!r})")
+    mels_by_id = _load_mels_for(records, mels_path)
     try:
         model = VqVae.load(checkpoint_path)
     except (ValueError, FileNotFoundError) as exc:
@@ -231,7 +228,12 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
     oracle_pool = pool if backend_spec == "mock:oracle" else records
     backend = _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm,
                              timeout, max_retries, temperature, records + list(oracle_pool), seed)
-    cache = ann.AnnotationCache(cache_path or f"{annotations_out}.cache.jsonl")
+    try:
+        cache = ann.AnnotationCache(cache_path or f"{annotations_out}.cache.jsonl")
+    except ValueError as exc:
+        _fail(str(exc))
+    if cache.dropped:
+        click.echo(f"dropped {cache.dropped} torn record at the end of {cache.path}", err=True)
     try:
         results, summary = ann.annotate_corpus(
             records,
@@ -264,11 +266,13 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
 
 def _classifier_config(desk_scale, config_path, max_epochs):
     base = ClassifierConfig.desk() if desk_scale else ClassifierConfig()
-    overrides = _effective("classifier", _load_config_file(config_path), {})
-    merged = {**base.to_json(), **overrides}
-    if max_epochs is not None:
-        merged["max_epochs"] = max_epochs
-    return ClassifierConfig.from_json(merged)
+    try:
+        merged = {**base.to_json(), **_config_section(config_path, "classifier")}
+        if max_epochs is not None:
+            merged["max_epochs"] = max_epochs
+        return ClassifierConfig.from_json(merged)
+    except (TypeError, ValueError) as exc:
+        _fail(f"invalid classifier config: {exc}")
 
 
 def _records_with_labels(manifest_path, labels_source, annotations_path):
@@ -306,10 +310,7 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
                          eval_manifest, eval_mels, repeats, seed, report_out, artifacts_dir,
                          desk_scale, max_epochs, config_path):
     """Train and evaluate under the chosen protocol; emit a run report."""
-    try:
-        config = _classifier_config(desk_scale, config_path, max_epochs)
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid classifier config: {exc}")
+    config = _classifier_config(desk_scale, config_path, max_epochs)
     records = _records_with_labels(manifest_path, labels_source, annotations_path)
     mels_by_id = dict(dsp.load_mel_cache(mels_path))
     seeds = [seed + r for r in range(repeats)]
@@ -355,10 +356,7 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
 def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra_annotations,
                      repeats, seed, report_out, desk_scale, max_epochs, config_path):
     """Compare training on the base corpus alone vs adding machine-labeled extras."""
-    try:
-        config = _classifier_config(desk_scale, config_path, max_epochs)
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid classifier config: {exc}")
+    config = _classifier_config(desk_scale, config_path, max_epochs)
     base_records = load_manifest(base_manifest)
     extra_records = ann.apply_annotations(
         load_manifest(extra_manifest), ann.load_annotations(extra_annotations)

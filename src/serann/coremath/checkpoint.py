@@ -9,12 +9,15 @@ parameters always serialize to identical bytes.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from ..fileio import atomic_write
+from .rng import Rng
 from .tensor import Tensor
 
 MAGIC = b"SERANN"
@@ -46,7 +49,7 @@ def save_checkpoint(path, blobs: Mapping[str, np.ndarray]) -> None:
         parts.append(struct.pack("<BB", _CODE_FOR_KIND[arr.dtype], arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -99,3 +102,32 @@ def load_into(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray]) -> 
                 f"blob {name!r} shape {tuple(blob.shape)} does not match model shape {tuple(tensor.shape)}"
             )
         tensor.data = blob.astype(tensor.dtype, copy=True)
+
+
+class Checkpointable:
+    """Model file support: the parameter blob at ``path`` plus the model's
+    configuration in a ``<path>.config.json`` sidecar.
+
+    Subclasses name their config type in ``config_type`` (with ``to_json``
+    and ``from_json``), build from ``(config, rng)`` and expose ``params()``.
+    """
+
+    config_type: type
+
+    def save(self, path) -> None:
+        save_checkpoint(path, {name: t.data for name, t in self.params().items()})
+        text = json.dumps(self.config.to_json(), sort_keys=True, indent=2) + "\n"
+        atomic_write(str(path) + ".config.json", text.encode("utf-8"))
+
+    @classmethod
+    def load(cls, path, config=None):
+        if config is None:
+            sidecar = Path(str(path) + ".config.json")
+            if not sidecar.exists():
+                raise FileNotFoundError(
+                    f"{sidecar}: config sidecar missing; pass the configuration explicitly"
+                )
+            config = cls.config_type.from_json(json.loads(sidecar.read_text()))
+        model = cls(config, Rng(0))
+        load_into(model.params(), load_checkpoint(path))
+        return model

@@ -11,7 +11,7 @@ import numpy as np
 from .ops import conv2d, conv2d_transpose, dense
 from .rng import Rng
 from .rnn import LstmParams, bilstm
-from .tensor import Tensor, reshape
+from .tensor import Tensor, relu, reshape
 
 
 def he_uniform(shape, fan_in: int, rng: Rng, dtype=np.float32) -> np.ndarray:
@@ -22,6 +22,25 @@ def he_uniform(shape, fan_in: int, rng: Rng, dtype=np.float32) -> np.ndarray:
 def xavier_uniform(shape, fan_in: int, fan_out: int, rng: Rng, dtype=np.float32) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape, dtype)
+
+
+def _weights_and_bias(
+    shape, fan_in: int, fan_out: int, activation: str | None, rng: Rng, dtype
+) -> tuple[Tensor, Tensor]:
+    """He-uniform weights on ReLU paths, Xavier-uniform otherwise, and a zero
+    bias of width ``fan_out``."""
+    if activation == "relu":
+        init = he_uniform(shape, fan_in, rng, dtype)
+    else:
+        init = xavier_uniform(shape, fan_in, fan_out, rng, dtype)
+    bias = np.zeros(fan_out, dtype=dtype)
+    return Tensor(init, requires_grad=True), Tensor(bias, requires_grad=True)
+
+
+def _channel_bias(out: Tensor, bias: Tensor, activation: str | None) -> Tensor:
+    """Add a per-channel bias to an NCHW map, then the activation."""
+    out = out + reshape(bias, (1, bias.shape[0], 1, 1))
+    return relu(out) if activation == "relu" else out
 
 
 class Conv2d:
@@ -36,26 +55,17 @@ class Conv2d:
         activation: str | None = "relu",
         dtype=np.float32,
     ):
-        fan_in = in_channels * kernel * kernel
-        shape = (out_channels, in_channels, kernel, kernel)
-        if activation == "relu":
-            init = he_uniform(shape, fan_in, rng, dtype)
-        else:
-            init = xavier_uniform(shape, fan_in, out_channels, rng, dtype)
-        self.kernels = Tensor(init, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.kernels, self.bias = _weights_and_bias(
+            (out_channels, in_channels, kernel, kernel), in_channels * kernel * kernel,
+            out_channels, activation, rng, dtype,
+        )
         self.stride = stride
         self.padding = padding
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
         out = conv2d(x, self.kernels, self.stride, self.padding)
-        out = out + reshape(self.bias, (1, self.bias.shape[0], 1, 1))
-        if self.activation == "relu":
-            from .tensor import relu
-
-            out = relu(out)
-        return out
+        return _channel_bias(out, self.bias, self.activation)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}
@@ -74,14 +84,10 @@ class ConvTranspose2d:
         activation: str | None = "relu",
         dtype=np.float32,
     ):
-        fan_in = in_channels * kernel * kernel
-        shape = (in_channels, out_channels, kernel, kernel)
-        if activation == "relu":
-            init = he_uniform(shape, fan_in, rng, dtype)
-        else:
-            init = xavier_uniform(shape, fan_in, out_channels, rng, dtype)
-        self.kernels = Tensor(init, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.kernels, self.bias = _weights_and_bias(
+            (in_channels, out_channels, kernel, kernel), in_channels * kernel * kernel,
+            out_channels, activation, rng, dtype,
+        )
         self.stride = stride
         self.padding = padding
         self.output_padding = output_padding
@@ -89,12 +95,7 @@ class ConvTranspose2d:
 
     def __call__(self, x: Tensor) -> Tensor:
         out = conv2d_transpose(x, self.kernels, self.stride, self.padding, self.output_padding)
-        out = out + reshape(self.bias, (1, self.bias.shape[0], 1, 1))
-        if self.activation == "relu":
-            from .tensor import relu
-
-            out = relu(out)
-        return out
+        return _channel_bias(out, self.bias, self.activation)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}
@@ -109,12 +110,9 @@ class Dense:
         activation: str | None = None,
         dtype=np.float32,
     ):
-        if activation == "relu":
-            init = he_uniform((in_dim, out_dim), in_dim, rng, dtype)
-        else:
-            init = xavier_uniform((in_dim, out_dim), in_dim, out_dim, rng, dtype)
-        self.weights = Tensor(init, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+        self.weights, self.bias = _weights_and_bias(
+            (in_dim, out_dim), in_dim, out_dim, activation, rng, dtype
+        )
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:

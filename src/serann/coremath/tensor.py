@@ -257,28 +257,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out_data, True, (a,), backprop)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g * out_data)
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g / a.data)
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
 # -- reductions --------------------------------------------------------
 
 
@@ -377,17 +355,6 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     return Tensor(out_data, True, tuple(tensors), backprop)
 
 
-def flip(a: Tensor, axis: int) -> Tensor:
-    out_data = np.flip(a.data, axis=axis).copy()
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(np.flip(g, axis=axis))
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(
@@ -464,9 +431,3 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
         table.accumulate_grad(buf)
 
     return Tensor(out_data, True, (table,), backprop)
-
-
-def assert_finite(t: Tensor, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(t.data)):
-        bad = int(np.size(t.data) - np.isfinite(t.data).sum())
-        raise FloatingPointError(f"{what} contains {bad} non-finite entries")

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .coremath.rng import Rng
+from .fileio import JsonlError, read_jsonl, write_jsonl
 
 LABELS = ("angry", "happy", "neutral", "sad")
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
@@ -85,15 +86,8 @@ def load_manifest(path, canonical_labels: bool = True) -> list[UtteranceRecord]:
     seen: set[str] = set()
     known = {f.name for f in fields(UtteranceRecord)}
     required = {"utterance_id", "audio_path", "transcript", "speaker_id", "gender", "corpus"}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    try:
+        for lineno, raw in read_jsonl(path):
             missing = required - raw.keys()
             if missing:
                 raise ManifestError(
@@ -110,15 +104,13 @@ def load_manifest(path, canonical_labels: bool = True) -> list[UtteranceRecord]:
                 )
             seen.add(record.utterance_id)
             records.append(record)
+    except JsonlError as exc:
+        raise ManifestError(str(exc)) from exc
     return records
 
 
 def save_manifest(path, records: Iterable[UtteranceRecord]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+    write_jsonl(path, (record.to_json() for record in records))
 
 
 def resolve_audio_path(manifest_path, record: UtteranceRecord) -> Path:
@@ -319,40 +311,57 @@ def _apportion(class_counts: dict[str, int], total_target: int) -> dict[str, int
     return alloc
 
 
+def _stratified_parts(
+    records: Sequence[UtteranceRecord],
+    fractions: Sequence[float],
+    seed: int,
+    missing_label: str,
+) -> list[tuple[str, ...]]:
+    """Cut ``records`` into one part per fraction plus the remainder,
+    stratified by gold class.
+
+    Each part's size is the half-up rounding of fraction * n, allocated
+    across classes by largest remainder so the split stays stratified while
+    hitting the global target exactly. Classes are shuffled in sorted class
+    order, so the parts are a pure function of the seed.
+    """
+    rng = Rng(seed)
+    class_ids: dict[str, list[str]] = defaultdict(list)
+    for record in records:
+        if record.gold_label is None:
+            raise SplitError(f"{record.utterance_id}: {missing_label}")
+        class_ids[record.gold_label].append(record.utterance_id)
+    counts = {c: len(ids) for c, ids in class_ids.items()}
+    allocs = [_apportion(counts, math.floor(f * len(records) + 0.5)) for f in fractions]
+    parts: list[list[str]] = [[] for _ in range(len(fractions) + 1)]
+    for c in sorted(class_ids):
+        shuffled = rng.shuffled(sorted(class_ids[c]))
+        start = 0
+        for part, alloc in zip(parts, allocs):
+            part.extend(shuffled[start : start + alloc[c]])
+            start += alloc[c]
+        parts[-1].extend(shuffled[start:])
+    return [tuple(sorted(part)) for part in parts]
+
+
 def cross_corpus_split(
     train_records: Sequence[UtteranceRecord],
     eval_records: Sequence[UtteranceRecord],
     val_fraction: float = 0.30,
-    rng: Rng | None = None,
     seed: int = 0,
 ) -> FoldPlan:
-    """Train on one corpus; shuffle the other per seed and split it into
-    validation and test. The validation size is the half-up rounding of
-    val_fraction * n, allocated across classes by largest remainder so the
-    split stays stratified while hitting the global target exactly.
-    """
+    """Train on one corpus; shuffle the other per seed and split it into a
+    stratified validation part of val_fraction and a test part."""
     if not train_records or not eval_records:
         raise SplitError("both corpora must be non-empty")
-    rng = rng if rng is not None else Rng(seed)
-    class_ids: dict[str, list[str]] = defaultdict(list)
-    for record in eval_records:
-        if record.gold_label is None:
-            raise SplitError(f"{record.utterance_id}: evaluation records need gold labels")
-        class_ids[record.gold_label].append(record.utterance_id)
-    n = len(eval_records)
-    val_target = math.floor(val_fraction * n + 0.5)
-    alloc = _apportion({c: len(ids) for c, ids in class_ids.items()}, val_target)
-    val_ids: list[str] = []
-    test_ids: list[str] = []
-    for c in sorted(class_ids):
-        shuffled = rng.shuffled(sorted(class_ids[c]))
-        val_ids.extend(shuffled[: alloc[c]])
-        test_ids.extend(shuffled[alloc[c] :])
+    val_ids, test_ids = _stratified_parts(
+        eval_records, [val_fraction], seed, "evaluation records need gold labels"
+    )
     fold = Fold(
         name="cross_corpus",
         train_ids=tuple(r.utterance_id for r in train_records),
-        val_ids=tuple(sorted(val_ids)),
-        test_ids=tuple(sorted(test_ids)),
+        val_ids=val_ids,
+        test_ids=test_ids,
     )
     return FoldPlan(kind="cross_corpus", folds=(fold,))
 
@@ -361,37 +370,15 @@ def fixed_split(
     records: Sequence[UtteranceRecord],
     val_fraction: float = 0.2,
     test_fraction: float = 0.2,
-    rng: Rng | None = None,
     seed: int = 0,
 ) -> FoldPlan:
     """Single stratified train/val/test partition, deterministic per seed."""
     if not records:
         raise SplitError("cannot split an empty manifest")
-    rng = rng if rng is not None else Rng(seed)
-    class_ids: dict[str, list[str]] = defaultdict(list)
-    for record in records:
-        if record.gold_label is None:
-            raise SplitError(f"{record.utterance_id}: fixed split needs gold labels")
-        class_ids[record.gold_label].append(record.utterance_id)
-    counts = {c: len(ids) for c, ids in class_ids.items()}
-    n = len(records)
-    val_alloc = _apportion(counts, math.floor(val_fraction * n + 0.5))
-    test_alloc = _apportion(counts, math.floor(test_fraction * n + 0.5))
-    train_ids: list[str] = []
-    val_ids: list[str] = []
-    test_ids: list[str] = []
-    for c in sorted(class_ids):
-        shuffled = rng.shuffled(sorted(class_ids[c]))
-        nv, nt = val_alloc[c], test_alloc[c]
-        val_ids.extend(shuffled[:nv])
-        test_ids.extend(shuffled[nv : nv + nt])
-        train_ids.extend(shuffled[nv + nt :])
-    fold = Fold(
-        name="fixed",
-        train_ids=tuple(sorted(train_ids)),
-        val_ids=tuple(sorted(val_ids)),
-        test_ids=tuple(sorted(test_ids)),
+    val_ids, test_ids, train_ids = _stratified_parts(
+        records, [val_fraction, test_fraction], seed, "fixed split needs gold labels"
     )
+    fold = Fold(name="fixed", train_ids=train_ids, val_ids=val_ids, test_ids=test_ids)
     return FoldPlan(kind="fixed", folds=(fold,))
 
 

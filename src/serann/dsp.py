@@ -15,13 +15,14 @@ Fixed encoding:
 
 from __future__ import annotations
 
-import json
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .fileio import read_jsonl, write_jsonl
 
 SAMPLE_RATE = 16_000
 N_FFT = 1024
@@ -159,7 +160,8 @@ def stft_power(samples: np.ndarray) -> np.ndarray:
 
 def mel_spectrogram(clip: AudioClip) -> np.ndarray:
     """80 x 256 log-mel matrix, min-max scaled to [-1, 1], float32."""
-    power = stft_power(clip.samples)
+    # Only the samples under the first N_FRAMES windows reach the output.
+    power = stft_power(clip.samples[: (N_FRAMES - 1) * HOP + WIN])
     mel_power = power @ mel_filterbank().T
     logmel = np.log(mel_power + LOG_FLOOR).T  # (bands, frames)
     n = logmel.shape[1]
@@ -267,31 +269,18 @@ def load_mel_cache(path) -> dict:
 
 
 def write_features(path, features_by_id: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for uid in sorted(features_by_id):
-            feats = features_by_id[uid]
-            record = {
-                "utterance_id": uid,
-                "avg_energy": feats.avg_energy,
-                "avg_pitch_hz": feats.avg_pitch_hz,
-                "gender": feats.gender,
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(
+        path,
+        ({"utterance_id": uid, **asdict(features_by_id[uid])} for uid in sorted(features_by_id)),
+    )
 
 
 def load_features(path) -> dict:
-    out = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            out[record["utterance_id"]] = UtteranceFeatures(
-                avg_energy=float(record["avg_energy"]),
-                avg_pitch_hz=float(record["avg_pitch_hz"]),
-                gender=record.get("gender", "unknown"),
-            )
-    return out
+    return {
+        record["utterance_id"]: UtteranceFeatures(
+            avg_energy=float(record["avg_energy"]),
+            avg_pitch_hz=float(record["avg_pitch_hz"]),
+            gender=record.get("gender", "unknown"),
+        )
+        for _, record in read_jsonl(path)
+    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -120,34 +120,40 @@ def run_fold(
 
 
 def run_plan(
-    plan: FoldPlan,
-    records_by_id: Mapping[str, UtteranceRecord],
+    plan_for: Callable[[int], FoldPlan],
+    records: Sequence[UtteranceRecord],
     mels_by_id: Mapping[str, np.ndarray],
     labels_source: str,
     config: ClassifierConfig,
     seeds: Sequence[int],
     artifacts_dir=None,
 ) -> dict:
-    """Execute every fold for every seed; the per-repeat score is the mean
-    over folds. Returns a schema-shaped classifier_run document."""
-    fold_uars: dict[str, list[float]] = {fold.name: [] for fold in plan.folds}
+    """Execute every fold of ``plan_for(seed)`` for every seed; the
+    per-repeat score is the mean over folds. Artifacts are tagged
+    ``<fold name>_seed<seed>``. Returns a schema-shaped classifier_run
+    document."""
+    records_by_id = {r.utterance_id: r for r in records}
+    fold_uars: dict[str, list[float]] = {}
     per_repeat: list[float] = []
+    protocol = None
     for seed in seeds:
+        plan = plan_for(seed)
+        protocol = plan.kind
         scores = []
         for i, fold in enumerate(plan.folds):
             score = run_fold(
                 fold, records_by_id, mels_by_id, labels_source, config, seed, i,
-                artifacts_dir=artifacts_dir, tag=f"{fold.name}_seed{seed}",
+                artifacts_dir=artifacts_dir,
             )
-            fold_uars[fold.name].append(score)
+            fold_uars.setdefault(fold.name, []).append(score)
             scores.append(score)
         per_repeat.append(float(np.mean(scores)))
-    digest = config_digest({"classifier": config.to_json(), "protocol": plan.kind})
+    digest = config_digest({"classifier": config.to_json(), "protocol": protocol})
     report: RunReport = aggregate_runs(per_repeat, digest)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "classifier_run",
-        "protocol": plan.kind,
+        "protocol": protocol,
         "labels_source": labels_source,
         "seeds": [int(s) for s in seeds],
         "config": config.to_json(),
@@ -164,9 +170,10 @@ def run_loso(
     seeds: Sequence[int],
     artifacts_dir=None,
 ) -> dict:
-    records_by_id = {r.utterance_id: r for r in records}
     plan = loso_folds(records)
-    return run_plan(plan, records_by_id, mels_by_id, labels_source, config, seeds, artifacts_dir)
+    return run_plan(
+        lambda seed: plan, records, mels_by_id, labels_source, config, seeds, artifacts_dir
+    )
 
 
 def run_cross_corpus(
@@ -179,27 +186,10 @@ def run_cross_corpus(
     val_fraction: float = 0.30,
     artifacts_dir=None,
 ) -> dict:
-    records_by_id = {r.utterance_id: r for r in list(train_records) + list(eval_records)}
-    fold_uars: list[float] = []
-    for seed in seeds:
-        plan = cross_corpus_split(train_records, eval_records, val_fraction, seed=seed)
-        score = run_fold(
-            plan.folds[0], records_by_id, mels_by_id, labels_source, config, seed,
-            artifacts_dir=artifacts_dir, tag=f"cross_seed{seed}",
-        )
-        fold_uars.append(score)
-    digest = config_digest({"classifier": config.to_json(), "protocol": "cross_corpus"})
-    report = aggregate_runs(fold_uars, digest)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "classifier_run",
-        "protocol": "cross_corpus",
-        "labels_source": labels_source,
-        "seeds": [int(s) for s in seeds],
-        "config": config.to_json(),
-        "aggregate": report.to_json(),
-        "folds": [{"name": "cross_corpus", "uars": fold_uars}],
-    }
+    return run_plan(
+        lambda seed: cross_corpus_split(train_records, eval_records, val_fraction, seed=seed),
+        [*train_records, *eval_records], mels_by_id, labels_source, config, seeds, artifacts_dir,
+    )
 
 
 def run_fixed(
@@ -212,27 +202,10 @@ def run_fixed(
     test_fraction: float = 0.2,
     artifacts_dir=None,
 ) -> dict:
-    records_by_id = {r.utterance_id: r for r in records}
-    fold_uars: list[float] = []
-    for seed in seeds:
-        plan = fixed_split(records, val_fraction, test_fraction, seed=seed)
-        score = run_fold(
-            plan.folds[0], records_by_id, mels_by_id, labels_source, config, seed,
-            artifacts_dir=artifacts_dir, tag=f"fixed_seed{seed}",
-        )
-        fold_uars.append(score)
-    digest = config_digest({"classifier": config.to_json(), "protocol": "fixed"})
-    report = aggregate_runs(fold_uars, digest)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "classifier_run",
-        "protocol": "fixed",
-        "labels_source": labels_source,
-        "seeds": [int(s) for s in seeds],
-        "config": config.to_json(),
-        "aggregate": report.to_json(),
-        "folds": [{"name": "fixed", "uars": fold_uars}],
-    }
+    return run_plan(
+        lambda seed: fixed_split(records, val_fraction, test_fraction, seed=seed),
+        records, mels_by_id, labels_source, config, seeds, artifacts_dir,
+    )
 
 
 def run_augment_eval(

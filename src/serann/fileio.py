@@ -1,0 +1,49 @@
+"""Atomic whole-file writes and the JSONL record format of tabular artifacts.
+
+``atomic_write`` replaces its target through a temporary file in the same
+directory, so a process killed mid-write leaves the previous file intact.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from typing import Iterable, Iterator
+
+
+class JsonlError(ValueError):
+    pass
+
+
+def atomic_write(path, data: bytes) -> None:
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted; replaces ``path`` atomically."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    atomic_write(path, text.encode("utf-8"))
+
+
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for every non-blank line."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise JsonlError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            yield lineno, record

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import jsonschema
 
+from .fileio import atomic_write
+
 SCHEMA_VERSION = 1
 
 _RUN_REPORT_SCHEMA = {
@@ -118,7 +120,7 @@ def write_report(path, document: dict) -> None:
     validate_report(document)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_report(path) -> dict:

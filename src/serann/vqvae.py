@@ -26,8 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coremath.checkpoint import load_checkpoint, load_into, save_checkpoint
+from .coremath.checkpoint import Checkpointable
 from .coremath.layers import Conv2d, ConvTranspose2d
+from .coremath.ops import mse
 from .coremath.optim import Adam
 from .coremath.rng import Rng
 from .coremath.tensor import (
@@ -38,9 +39,9 @@ from .coremath.tensor import (
     reshape,
     stop_gradient,
     straight_through,
-    tensor_mean,
     transpose,
 )
+from .fileio import read_jsonl, write_jsonl
 
 GRID_POSITIONS = 64
 INPUT_BANDS = 80
@@ -127,7 +128,9 @@ class LossBundle:
     total: float
 
 
-class VqVae:
+class VqVae(Checkpointable):
+    config_type = VqVaeConfig
+
     def __init__(self, config: VqVaeConfig, rng: Rng, dtype=np.float32):
         self.config = config
         self.dtype = dtype
@@ -187,24 +190,6 @@ class VqVae:
             out.update(layer.params(f"dec.{i}"))
         out["codebook"] = self.codebook
         return out
-
-    def save(self, path) -> None:
-        save_checkpoint(path, {name: t.data for name, t in self.params().items()})
-        sidecar = Path(str(path) + ".config.json")
-        sidecar.write_text(json.dumps(self.config.to_json(), sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path, config: VqVaeConfig | None = None) -> "VqVae":
-        if config is None:
-            sidecar = Path(str(path) + ".config.json")
-            if not sidecar.exists():
-                raise FileNotFoundError(
-                    f"{sidecar}: config sidecar missing; pass the configuration explicitly"
-                )
-            config = VqVaeConfig.from_json(json.loads(sidecar.read_text()))
-        model = cls(config, Rng(0))
-        load_into(model.params(), load_checkpoint(path))
-        return model
 
     # -- forward ---------------------------------------------------------
 
@@ -295,14 +280,9 @@ def vqvae_losses(
     encoder side so only embeddings move; the commitment term freezes the
     selected embeddings so only the encoder moves.
     """
-
-    def sq_mean(a: Tensor, b: Tensor) -> Tensor:
-        diff = a - b
-        return tensor_mean(mul(diff, diff))
-
-    recon = sq_mean(x, x_hat)
-    codebook_loss = sq_mean(stop_gradient(z_e), e_selected)
-    commitment = mul(Tensor(np.asarray(beta, dtype=z_e.dtype)), sq_mean(z_e, stop_gradient(z_q)))
+    recon = mse(x, x_hat)
+    codebook_loss = mse(stop_gradient(z_e), e_selected)
+    commitment = mul(Tensor(np.asarray(beta, dtype=z_e.dtype)), mse(z_e, stop_gradient(z_q)))
     total = recon + codebook_loss + commitment
     return recon, codebook_loss, commitment, total
 
@@ -420,21 +400,14 @@ def extract_codes(
 
 
 def write_codes(path, codes_by_id: Mapping[str, Sequence[int]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for utterance_id in sorted(codes_by_id):
-            record = {"utterance_id": utterance_id, "codes": list(codes_by_id[utterance_id])}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(
+        path,
+        ({"utterance_id": uid, "codes": list(codes_by_id[uid])} for uid in sorted(codes_by_id)),
+    )
 
 
 def load_codes(path) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            out[record["utterance_id"]] = [int(c) for c in record["codes"]]
-    return out
+    return {
+        record["utterance_id"]: [int(c) for c in record["codes"]]
+        for _, record in read_jsonl(path)
+    }

@@ -130,7 +130,7 @@ class TestC01GradientSuite:
             lambda: weighted_sum(dense(xd, wd, bd, activation="relu")), [xd, wd, bd]
         )
 
-        h = leaf((5, 3), rng)
+        h = leaf((1, 5, 3), rng)
         wv = leaf((3,), rng)
         worst["attention"] = finite_diff_grad_check(
             lambda: weighted_sum(attention_pool(h, attention_weights(h, wv))), [h, wv]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,10 @@ class TestHttpBackend:
         ]
         assert headers["Authorization"] == "Bearer test-key-not-a-secret"
 
+    def test_backend_id_names_model_and_temperature(self):
+        backend, _ = http_backend([], temperature=0.7)
+        assert backend.backend_id == "http:test-model@t0.7"
+
     def test_429_then_success_retries_once(self):
         backend, transport = http_backend([(429, "slow down"), ok_body("neutral")])
         reply = backend.complete(CompletionRequest("s", "u"))
@@ -387,6 +393,53 @@ class TestAnnotateAndCache:
         loaded = load_annotations(path)
         assert len(loaded) == len(pool)
         assert loaded[pool[0].utterance_id].label == pool[0].gold_label
+
+    def test_cache_answers_only_its_own_backend(self, pool, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        records = pool[:3]
+        keyword, sad = mock_backend("keyword"), mock_backend("fixed", label="sad")
+        annotate_corpus(records, TEXT, keyword, cache=AnnotationCache(path))
+        results, summary = annotate_corpus(records, TEXT, sad, cache=AnnotationCache(path))
+        assert summary.cache_hits == 0
+        assert [(r.label, r.backend_id) for r in results] == [("sad", sad.backend_id)] * 3
+        cache = AnnotationCache(path)
+        for backend in (keyword, sad):
+            fresh, _ = annotate_corpus(records, TEXT, backend)
+            replayed, summary = annotate_corpus(records, TEXT, backend, cache=cache)
+            assert summary.cache_hits == 3
+            assert [r.to_json() for r in replayed] == [r.to_json() for r in fresh]
+
+    def test_resume_from_torn_last_record(self, pool, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        oracle = mock_backend("oracle", gold_by_id={r.utterance_id: r.gold_label for r in pool})
+        annotate_corpus(pool, TEXT, oracle, cache=AnnotationCache(path))
+        whole = path.read_bytes()
+        last_start = whole.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(whole[: last_start + (len(whole) - last_start) // 2])
+        calls = []
+
+        class Counting:
+            backend_id = oracle.backend_id
+
+            def complete(self, request):
+                calls.append(request.utterance_id)
+                return oracle.complete(request)
+
+        cache = AnnotationCache(path)
+        assert cache.dropped == 1
+        results, _ = annotate_corpus(pool, TEXT, Counting(), cache=cache)
+        assert len(calls) == 1
+        assert [r.label for r in results] == [r.gold_label for r in pool]
+        assert path.read_bytes() == whole
+
+    def test_corrupt_middle_line_raises(self, pool, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        annotate_corpus(pool[:3], TEXT, mock_backend("keyword"), cache=AnnotationCache(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+            AnnotationCache(path)
 
 
 class TestAnnotateCorpus:

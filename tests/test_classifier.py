@@ -85,44 +85,53 @@ class TestForward:
 
 class TestAttention:
     def test_identical_states_uniform_weights(self):
-        h = Tensor(np.tile([1.0, 2.0, 3.0], (5, 1)))
+        h = Tensor(np.tile([1.0, 2.0, 3.0], (1, 5, 1)))
         alpha = attention_weights(h, Tensor(np.array([0.3, -0.2, 0.1])))
-        np.testing.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-12)
+        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_log2_margin_gives_two_thirds(self):
         # scores [ln 2, 0] -> weights [2/3, 1/3]
-        h = Tensor(np.array([[np.log(2.0)], [0.0]]))
+        h = Tensor(np.array([[[np.log(2.0)], [0.0]]]))
         alpha = attention_weights(h, Tensor(np.array([1.0])))
-        np.testing.assert_allclose(alpha.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        np.testing.assert_allclose(alpha.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_weights_sum_to_one(self, rng):
-        h = Tensor(rng.normal(0, 2, (9, 6), np.float64))
+        h = Tensor(rng.normal(0, 2, (1, 9, 6), np.float64))
         w = Tensor(rng.normal(0, 1, (6,), np.float64))
         alpha = attention_weights(h, w)
         assert abs(float(alpha.data.sum()) - 1.0) < 1e-6
         assert np.all(alpha.data > 0) and np.all(alpha.data < 1)
 
     def test_one_hot_selects_state(self, rng):
-        h = Tensor(rng.normal(0, 1, (4, 3), np.float64))
-        alpha = Tensor(np.array([0.0, 0.0, 1.0, 0.0]))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data[2], atol=1e-12)
+        h = Tensor(rng.normal(0, 1, (1, 4, 3), np.float64))
+        alpha = Tensor(np.array([[0.0, 0.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data[:, 2], atol=1e-12)
 
     def test_hand_weighted_sum(self):
-        h = Tensor(np.array([[3.0, 0.0], [0.0, 3.0]]))
-        alpha = Tensor(np.array([2.0 / 3.0, 1.0 / 3.0]))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, [2.0, 1.0], atol=1e-12)
+        h = Tensor(np.array([[[3.0, 0.0], [0.0, 3.0]]]))
+        alpha = Tensor(np.array([[2.0 / 3.0, 1.0 / 3.0]]))
+        np.testing.assert_allclose(attention_pool(h, alpha).data, [[2.0, 1.0]], atol=1e-12)
 
     def test_uniform_weights_give_mean(self, rng):
-        h = Tensor(rng.normal(0, 1, (6, 4), np.float64))
-        alpha = Tensor(np.full(6, 1.0 / 6.0))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data.mean(axis=0), atol=1e-12)
+        h = Tensor(rng.normal(0, 1, (1, 6, 4), np.float64))
+        alpha = Tensor(np.full((1, 6), 1.0 / 6.0))
+        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data.mean(axis=1), atol=1e-12)
 
     def test_pool_stays_in_convex_hull(self, rng):
-        h = rng.normal(0, 1, (7, 5), np.float64)
+        h = rng.normal(0, 1, (1, 7, 5), np.float64)
         alpha = attention_weights(Tensor(h), Tensor(rng.normal(0, 1, (5,), np.float64)))
         pooled = attention_pool(Tensor(h), alpha).data
-        assert np.all(pooled <= h.max(axis=0) + 1e-12)
-        assert np.all(pooled >= h.min(axis=0) - 1e-12)
+        assert np.all(pooled <= h.max(axis=1) + 1e-12)
+        assert np.all(pooled >= h.min(axis=1) - 1e-12)
+
+    def test_batch_rows_pooled_independently(self, rng):
+        h = Tensor(rng.normal(0, 1, (3, 5, 4), np.float64))
+        w = Tensor(rng.normal(0, 1, (4,), np.float64))
+        pooled = attention_pool(h, attention_weights(h, w)).data
+        for i in range(3):
+            row = Tensor(h.data[i : i + 1])
+            alone = attention_pool(row, attention_weights(row, w)).data
+            np.testing.assert_allclose(pooled[i : i + 1], alone, atol=1e-12)
 
 
 class TestPlateauSchedule:

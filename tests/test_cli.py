@@ -130,6 +130,24 @@ class TestIdempotence:
         summary = json.loads((tmp_path / "ann.jsonl.summary.json").read_text())
         assert summary["cache_hits"] == summary["total"]
 
+    def test_annotate_resumes_from_torn_cache(self, pipeline_dir, tmp_path):
+        whole = (pipeline_dir / "annotations.jsonl.cache.jsonl").read_bytes()
+        last_start = whole.rstrip(b"\n").rfind(b"\n") + 1
+        cache = tmp_path / "torn.cache.jsonl"
+        cache.write_bytes(whole[: last_start + 10])
+        manifest = pipeline_dir / "corpus" / "manifest.jsonl"
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(manifest), "--variant", "full", "--shots", "few",
+            "--backend", "mock:oracle", "--features", str(pipeline_dir / "features.jsonl"),
+            "--codes", str(pipeline_dir / "codes.jsonl"), "--seed", "5",
+            "--out", str(tmp_path / "ann.jsonl"), "--cache", str(cache),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "dropped 1 torn record" in result.output
+        summary = json.loads((tmp_path / "ann.jsonl.summary.json").read_text())
+        assert summary["cache_hits"] == summary["total"] - 1
+        assert cache.read_bytes() == whole
+
 
 class TestFailures:
     def test_missing_wav_names_id_and_exits_nonzero(self, pipeline_dir, tmp_path):

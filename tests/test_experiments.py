@@ -64,7 +64,7 @@ class TestRunners:
         b = run_fixed(corpus_records, corpus_mels, "gold", desk(), seeds=[3])
         assert a["aggregate"]["uars"] == b["aggregate"]["uars"]
 
-    def test_cross_corpus_run(self, corpus_records, corpus_mels):
+    def test_cross_corpus_run(self, corpus_records, corpus_mels, tmp_path):
         from dataclasses import replace
 
         eval_records = [
@@ -75,11 +75,15 @@ class TestRunners:
         for r in eval_records:
             mels[r.utterance_id] = corpus_mels[r.utterance_id.removeprefix("b_")]
         report = run_cross_corpus(
-            corpus_records, eval_records, mels, "gold", desk(), seeds=[0, 1]
+            corpus_records, eval_records, mels, "gold", desk(), seeds=[0, 1],
+            artifacts_dir=tmp_path,
         )
         validate_report(report)
         assert report["protocol"] == "cross_corpus"
         assert len(report["aggregate"]["uars"]) == 2
+        assert sorted(p.name for p in tmp_path.glob("*.serann")) == [
+            "cross_corpus_seed0.serann", "cross_corpus_seed1.serann",
+        ]
 
     def test_augment_eval_report(self, corpus_records, corpus_mels):
         from dataclasses import replace

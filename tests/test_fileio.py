@@ -1,0 +1,55 @@
+import os
+import re
+
+import numpy as np
+import pytest
+
+from serann import fileio, reports
+from serann.coremath import save_checkpoint
+from serann.fileio import JsonlError, read_jsonl, write_jsonl
+
+SUMMARY = {
+    "schema_version": 1, "kind": "annotation_summary", "total": 1,
+    "label_counts": {"sad": 1}, "unparseable_rate": 0.0,
+}
+
+
+def test_jsonl_lines_have_sorted_keys_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "sub" / "records.jsonl"
+    write_jsonl(path, [{"b": 1, "a": 2}, {"c": [1, 2]}])
+    assert path.read_text() == '{"a": 2, "b": 1}\n{"c": [1, 2]}\n'
+    path.write_text("\n" + path.read_text() + "\n")
+    assert list(read_jsonl(path)) == [(2, {"a": 2, "b": 1}), (3, {"c": [1, 2]})]
+
+
+def test_bad_line_reported_as_path_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n{"a": \n')
+    with pytest.raises(JsonlError, match=re.escape(f"{path}:2:")):
+        list(read_jsonl(path))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, n: save_checkpoint(path, {"w": np.full(3, n, np.float32)}),
+        lambda path, n: write_jsonl(path, [{"n": n}]),
+        lambda path, n: reports.write_report(path, {**SUMMARY, "total": n}),
+    ],
+    ids=["checkpoint", "jsonl", "report"],
+)
+def test_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path, 1)
+    before = path.read_bytes()
+
+    def torn_write(self, data):
+        with open(self, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(fileio.Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="mid-write"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]

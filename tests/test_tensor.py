@@ -7,7 +7,6 @@ from serann.coremath import (
     Tensor,
     concat,
     finite_diff_grad_check,
-    flip,
     gather_rows,
     index,
     matmul,
@@ -72,7 +71,7 @@ class TestPrimitiveGradients:
             y = transpose(x, (1, 0, 2))
             y = reshape(y, (3, 8))
             y = index(y, (slice(None), slice(1, 7)))
-            y = concat([y, flip(y, axis=1)], axis=0)
+            y = concat([y, y], axis=0)
             return scalarize(y)
 
         err = finite_diff_grad_check(fn, [x])
