@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,6 +24,7 @@ from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     ContextVariant,
     FewShotExample,
+    PromptSpec,
     build_prompt,
     parse_label,
     select_few_shot,
@@ -56,7 +58,10 @@ class AnnotationResult:
 class AnnotationCache:
     """Append-only JSONL keyed by (backend id, prompt hash), so a shared
     file never answers one backend with another's replies. Lookups and
-    appends are serialized, so concurrent annotators can share one instance.
+    appends are serialized, so concurrent annotators can share one instance;
+    ``claim`` lets them ask the backend each prompt only once. Appends go
+    through one handle, opened on the first ``put`` and flushed after every
+    record; ``close`` (or leaving a ``with`` block) releases it.
 
     A final line cut short by an interrupted append is dropped on load (and
     counted in ``dropped``); the file is truncated back to its last complete
@@ -68,6 +73,8 @@ class AnnotationCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], dict] = {}
+        self._claims: dict[tuple[str, str], threading.Event] = {}
+        self._handle = None
         self.dropped = 0
         if self.path.exists():
             self.dropped = _drop_torn_tail(self.path)
@@ -88,8 +95,41 @@ class AnnotationCache:
             if key in self._entries:
                 return
             self._entries[key] = record
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            if self._handle is None:
+                self._handle = self.path.open("a", encoding="utf-8")
+            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.flush()
+
+    @contextmanager
+    def claim(self, prompt_hash: str, backend_id: str):
+        """Hold the sole right to answer one key. A second claimant of the
+        same key waits until the holder leaves, then checks the cache."""
+        key = (backend_id, prompt_hash)
+        while True:
+            with self._lock:
+                holder = self._claims.get(key)
+                if holder is None:
+                    mine = self._claims[key] = threading.Event()
+                    break
+            holder.wait()
+        try:
+            yield
+        finally:
+            with self._lock:
+                del self._claims[key]
+            mine.set()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    def __enter__(self) -> "AnnotationCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _drop_torn_tail(path: Path) -> int:
@@ -120,12 +160,26 @@ def annotate(
     """Annotate one utterance; returns (result, served_from_cache)."""
     spec = build_prompt(record, variant, few_shot, features, codes)
     prompt_hash = spec.prompt_hash()
-    if cache is not None:
-        hit = cache.get(prompt_hash, backend.backend_id)
-        if hit is not None:
-            # Utterances with identical context share a prompt, so a hit may
-            # have been recorded under another utterance id.
-            return AnnotationResult(**{**hit, "utterance_id": record.utterance_id}), True
+    if cache is None:
+        return _complete(record, spec, prompt_hash, backend), False
+    hit = cache.get(prompt_hash, backend.backend_id)
+    if hit is None:
+        # A concurrent worker may be asking the backend this very prompt:
+        # wait for its answer instead of paying for a second call.
+        with cache.claim(prompt_hash, backend.backend_id):
+            hit = cache.get(prompt_hash, backend.backend_id)
+            if hit is None:
+                result = _complete(record, spec, prompt_hash, backend)
+                cache.put(result.to_json())
+                return result, False
+    # Utterances with identical context share a prompt, so a hit may have
+    # been recorded under another utterance id.
+    return AnnotationResult(**{**hit, "utterance_id": record.utterance_id}), True
+
+
+def _complete(
+    record: UtteranceRecord, spec: PromptSpec, prompt_hash: str, backend: Backend
+) -> AnnotationResult:
     request = CompletionRequest(
         system=spec.system, user=spec.user_text(), utterance_id=record.utterance_id
     )
@@ -135,7 +189,7 @@ def annotate(
         if not str(exc).startswith(record.utterance_id):
             raise type(exc)(f"{record.utterance_id}: {exc}") from exc
         raise
-    result = AnnotationResult(
+    return AnnotationResult(
         utterance_id=record.utterance_id,
         label=parse_label(raw),
         raw_response=raw,
@@ -143,9 +197,6 @@ def annotate(
         prompt_hash=prompt_hash,
         template_version=spec.template_version,
     )
-    if cache is not None:
-        cache.put(result.to_json())
-    return result, False
 
 
 @dataclass

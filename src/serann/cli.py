@@ -234,24 +234,25 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
         _fail(str(exc))
     if cache.dropped:
         click.echo(f"dropped {cache.dropped} torn record at the end of {cache.path}", err=True)
-    try:
-        results, summary = ann.annotate_corpus(
-            records,
-            ctx_variant,
-            backend,
-            shots=shots,
-            seed=seed,
-            features_by_id=features_by_id,
-            codes_by_id=codes_by_id,
-            few_shot_pool=pool,
-            cache=cache,
-            balanced_few_shot=balanced_few_shot,
-            failure_budget=failure_budget,
-            concurrency=concurrency,
-        )
-    except (ann.AnnotationRunError, ann.MissingContextFileError, ann.PromptContextError,
-            ann.BackendError, ValueError) as exc:
-        _fail(str(exc))
+    with cache:
+        try:
+            results, summary = ann.annotate_corpus(
+                records,
+                ctx_variant,
+                backend,
+                shots=shots,
+                seed=seed,
+                features_by_id=features_by_id,
+                codes_by_id=codes_by_id,
+                few_shot_pool=pool,
+                cache=cache,
+                balanced_few_shot=balanced_few_shot,
+                failure_budget=failure_budget,
+                concurrency=concurrency,
+            )
+        except (ann.AnnotationRunError, ann.MissingContextFileError, ann.PromptContextError,
+                ann.BackendError, ValueError) as exc:
+            _fail(str(exc))
     ann.write_annotations(annotations_out, results)
     summary_doc = {"schema_version": reports.SCHEMA_VERSION, "kind": "annotation_summary",
                    **summary.to_json()}

@@ -24,19 +24,15 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat,
     mul,
     neg,
     gather_rows,
-    index,
     matmul,
     relu,
     reshape,
-    sigmoid,
     softmax,
     stop_gradient,
     straight_through,
-    tanh,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -59,7 +55,6 @@ __all__ = [
     "Tensor",
     "adam_step",
     "bilstm",
-    "concat",
     "conv2d",
     "conv2d_transpose",
     "conv_output_size",
@@ -67,7 +62,6 @@ __all__ = [
     "finite_diff_grad_check",
     "gather_rows",
     "he_uniform",
-    "index",
     "add",
     "load_checkpoint",
     "load_into",
@@ -78,12 +72,10 @@ __all__ = [
     "relu",
     "reshape",
     "save_checkpoint",
-    "sigmoid",
     "softmax",
     "softmax_cross_entropy",
     "stop_gradient",
     "straight_through",
-    "tanh",
     "tensor_mean",
     "tensor_sum",
     "transpose",

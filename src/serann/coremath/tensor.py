@@ -12,7 +12,7 @@ long-lived leaves whose ``data`` the optimizer rebinds between steps.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,8 +141,8 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS: recurrent graphs get deep enough to threaten the
-    # interpreter's recursion limit.
+    # Iterative DFS, so graph depth is not bounded by the interpreter's
+    # recursion limit.
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -235,28 +235,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out_data, True, (a,), backprop)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
 # -- reductions --------------------------------------------------------
 
 
@@ -321,38 +299,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         a.accumulate_grad(g.transpose(inverse))
 
     return Tensor(out_data, True, (a,), backprop)
-
-
-def index(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) slicing with gradient scatter-add."""
-    out_data = a.data[key].copy()
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backprop(g):
-        buf = np.zeros_like(a.data)
-        buf[key] += g
-        a.accumulate_grad(buf)
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
-def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not any(t.requires_grad for t in tensors):
-        return Tensor(out_data)
-
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backprop(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            t.accumulate_grad(g[tuple(sl)])
-
-    return Tensor(out_data, True, tuple(tensors), backprop)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

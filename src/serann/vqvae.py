@@ -239,7 +239,9 @@ def nearest_codes(z: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"latent dim {z64.shape[-1]} does not match embedding dim {e64.shape[-1]}"
         )
-    block = max(1, int(2e7 // max(e64.size, 1)))
+    # Blocks of about 2**18 elements keep the float64 temporaries near 2 MB;
+    # larger ones cost more in page faults than they save in loop overhead.
+    block = max(1, 2**18 // max(e64.size, 1))
     codes = np.empty(len(z64), dtype=np.int64)
     for start in range(0, len(z64), block):
         chunk = z64[start : start + block]
@@ -319,18 +321,23 @@ def train_step(model: VqVae, batch: np.ndarray, adam: Adam) -> tuple[LossBundle,
     return losses, codes
 
 
+def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray], batch_size: int = 32):
+    """Encode and quantize ``mels`` (a sequence of (80, 256) arrays) in
+    batches; yields each batch's input, quantized grid and per-row codes."""
+    for start in range(0, len(mels), batch_size):
+        chunk = np.asarray(mels[start : start + batch_size], dtype=model.dtype)
+        x = Tensor(chunk[:, None, :, :])
+        z_q, codes = quantize(model.encode(x), model.codebook)
+        yield x, z_q, codes.reshape(len(chunk), -1)
+
+
 def reconstruction_loss(model: VqVae, mels: np.ndarray, batch_size: int = 32) -> float:
     """Mean squared reconstruction error over a (N, 80, 256) array."""
     total = 0.0
-    n = len(mels)
-    for start in range(0, n, batch_size):
-        chunk = np.asarray(mels[start : start + batch_size], dtype=model.dtype)
-        x = Tensor(chunk[:, None, :, :])
-        z_e = model.encode(x)
-        z_q, _ = quantize(z_e, model.codebook)
+    for x, z_q, _ in _quantized_batches(model, mels, batch_size):
         x_hat = model.decode(z_q)
-        total += float(((x.data - x_hat.data) ** 2).mean()) * len(chunk)
-    return total / n
+        total += float(((x.data - x_hat.data) ** 2).mean()) * len(x.data)
+    return total / len(mels)
 
 
 def train_vqvae(
@@ -389,14 +396,10 @@ def extract_codes(
     mels_by_id: Mapping[str, np.ndarray], model: VqVae
 ) -> dict[str, list[int]]:
     """Deterministic 64-code sequence per utterance, keyed by id."""
-    out: dict[str, list[int]] = {}
-    for utterance_id in sorted(mels_by_id):
-        mel = np.asarray(mels_by_id[utterance_id], dtype=model.dtype)
-        x = Tensor(mel[None, None, :, :])
-        z_e = model.encode(x)
-        _, codes = quantize(z_e, model.codebook)
-        out[utterance_id] = [int(c) for c in codes]
-    return out
+    ids = sorted(mels_by_id)
+    batches = _quantized_batches(model, [mels_by_id[uid] for uid in ids])
+    rows = [row for _, _, codes in batches for row in codes.tolist()]
+    return dict(zip(ids, rows))
 
 
 def write_codes(path, codes_by_id: Mapping[str, Sequence[int]]) -> None:

@@ -117,7 +117,7 @@ class TestC01GradientSuite:
             )
 
         fwd, bwd = lstm_params(), lstm_params()
-        seq = leaf((3, 2), rng)
+        seq = leaf((1, 3, 2), rng)
         worst["bilstm"] = finite_diff_grad_check(
             lambda: weighted_sum(bilstm(seq, fwd, bwd)),
             [seq, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b],

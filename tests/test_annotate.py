@@ -1,4 +1,6 @@
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -432,6 +434,16 @@ class TestAnnotateAndCache:
         assert [r.label for r in results] == [r.gold_label for r in pool]
         assert path.read_bytes() == whole
 
+    def test_open_cache_is_visible_to_a_second_reader(self, pool, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with AnnotationCache(path) as writer:
+            annotate_corpus(pool[:5], TEXT, mock_backend("keyword"), cache=writer)
+            reader = AnnotationCache(path)
+            assert len(reader) == 5
+            _, summary = annotate_corpus(pool[:5], TEXT, mock_backend("keyword"), cache=reader)
+            assert summary.cache_hits == 5
+        assert len(AnnotationCache(path)) == 5
+
     def test_corrupt_middle_line_raises(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
         annotate_corpus(pool[:3], TEXT, mock_backend("keyword"), cache=AnnotationCache(path))
@@ -520,6 +532,50 @@ class TestAnnotateCorpus:
         results, summary = annotate_corpus(pool, TEXT, Flaky(), failure_budget=2)
         assert len(results) == len(pool) - 2
         assert len(summary.failures) == 2
+
+    def test_concurrent_workers_share_one_call_per_prompt(self, tmp_path):
+        records = [make_record(f"s{i}") for i in range(8)]  # one shared prompt
+        calls = []
+
+        class Slow:
+            backend_id = "mock:slow"
+
+            def complete(self, request):
+                calls.append(request.utterance_id)
+                time.sleep(0.05)
+                return "neutral"
+
+        results, summary = annotate_corpus(
+            records, TEXT, Slow(), cache=AnnotationCache(tmp_path / "c.jsonl"), concurrency=4
+        )
+        assert len(calls) == 1
+        assert summary.cache_hits == 7
+        assert [r.utterance_id for r in results] == [r.utterance_id for r in records]
+        assert {r.label for r in results} == {"neutral"}
+
+    def test_claims_under_thread_switch_stress(self, tmp_path):
+        transcripts = [f"prompt number {k}" for k in range(5)]
+        records = [make_record(f"r{i:02d}", transcript=transcripts[i % 5]) for i in range(60)]
+        calls = []
+
+        class Counting:
+            backend_id = "mock:counting"
+
+            def complete(self, request):
+                calls.append(request.user)
+                return "sad"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, summary = annotate_corpus(
+                records, TEXT, Counting(), cache=AnnotationCache(tmp_path / "c.jsonl"),
+                concurrency=8,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == len(set(calls)) == 5
+        assert summary.cache_hits == 55
 
     def test_concurrent_annotation_matches_serial(self, pool, tmp_path):
         gold = {r.utterance_id: r.gold_label for r in pool}

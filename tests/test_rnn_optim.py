@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
     Adam,
     AdamState,
@@ -9,11 +12,13 @@ from serann.coremath import (
     LstmParams,
     NonFiniteGradientError,
     Rng,
+    ShapeError,
     Tensor,
     adam_step,
     bilstm,
     finite_diff_grad_check,
     mul,
+    softmax_cross_entropy,
     tensor_sum,
 )
 
@@ -33,24 +38,61 @@ def random_params(d, units, rng, requires_grad=True):
     return LstmParams(wx=t((d, 4 * units)), wh=t((units, 4 * units)), b=t((4 * units,)))
 
 
+def reference_bilstm(x, fwd, bwd):
+    """Per-timestep bidirectional LSTM in plain numpy over (N, T, D)."""
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def run(p, steps):
+        h = np.zeros((x.shape[0], p.units))
+        c = np.zeros_like(h)
+        out = np.zeros(x.shape[:2] + (p.units,))
+        for s in steps:
+            z = x[:, s] @ p.wx.data + h @ p.wh.data + p.b.data
+            i, f, g, o = np.split(z, 4, axis=1)
+            c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+            h = sigmoid(o) * np.tanh(c)
+            out[:, s] = h
+        return out
+
+    t = x.shape[1]
+    return np.concatenate([run(fwd, range(t)), run(bwd, reversed(range(t)))], axis=2)
+
+
+def tape_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
 class TestBiLstm:
     def test_zero_weights_zero_output(self, rng):
-        x = Tensor(rng.normal(0, 1, (5, 3), np.float64))
+        x = Tensor(rng.normal(0, 1, (1, 5, 3), np.float64))
         out = bilstm(x, zero_params(3, 4), zero_params(3, 4))
-        assert out.shape == (5, 8)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
+        assert out.shape == (1, 5, 8)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5, 8)))
 
     def test_single_step_directions_agree(self, rng):
         # With one timestep the backward pass sees the same input as the
         # forward pass, so identical parameters give identical halves.
         params = random_params(3, 4, rng, requires_grad=False)
-        x = Tensor(rng.normal(0, 1, (1, 3), np.float64))
+        x = Tensor(rng.normal(0, 1, (1, 1, 3), np.float64))
         out = bilstm(x, params, params)
-        np.testing.assert_allclose(out.data[0, :4], out.data[0, 4:], atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0, :4], out.data[0, 0, 4:], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
-            bilstm(Tensor(np.zeros((0, 3))), zero_params(3, 2), zero_params(3, 2))
+            bilstm(Tensor(np.zeros((1, 0, 3))), zero_params(3, 2), zero_params(3, 2))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError, match="2-d"):
+            bilstm(Tensor(np.zeros((4, 3))), zero_params(3, 2), zero_params(3, 2))
 
     def test_batched_matches_unbatched(self, rng):
         fwd = random_params(2, 3, rng, requires_grad=False)
@@ -58,13 +100,21 @@ class TestBiLstm:
         seqs = rng.normal(0, 1, (2, 4, 2), np.float64)
         batched = bilstm(Tensor(seqs), fwd, bwd)
         for i in range(2):
-            single = bilstm(Tensor(seqs[i]), fwd, bwd)
-            np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
+            single = bilstm(Tensor(seqs[i : i + 1]), fwd, bwd)
+            np.testing.assert_allclose(batched.data[i], single.data[0], atol=1e-12)
+
+    def test_matches_per_timestep_reference(self, rng):
+        fwd = random_params(5, 4, rng, requires_grad=False)
+        bwd = random_params(5, 3, rng, requires_grad=False)
+        x = rng.normal(0, 1, (3, 7, 5), np.float64)
+        out = bilstm(Tensor(x), fwd, bwd)
+        assert out.shape == (3, 7, 7)
+        np.testing.assert_allclose(out.data, reference_bilstm(x, fwd, bwd), rtol=0, atol=1e-12)
 
     def test_gradcheck_t3_d2_u2(self, rng):
         fwd = random_params(2, 2, rng)
         bwd = random_params(2, 2, rng)
-        x = Tensor(rng.normal(0, 1, (3, 2), np.float64), requires_grad=True)
+        x = Tensor(rng.normal(0, 1, (1, 3, 2), np.float64), requires_grad=True)
         wrt = [x, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b]
 
         def fn():
@@ -72,6 +122,37 @@ class TestBiLstm:
             return tensor_sum(mul(out, out))
 
         assert finite_diff_grad_check(fn, wrt) < 1e-4
+
+    def test_gradcheck_batched_n2_t6(self, rng):
+        fwd = random_params(3, 2, rng)
+        bwd = random_params(3, 2, rng)
+        x = Tensor(rng.normal(0, 1, (2, 6, 3), np.float64), requires_grad=True)
+        weights = Tensor(np.linspace(0.5, 1.5, 2 * 6 * 4).reshape(2, 6, 4))
+
+        def fn():
+            return tensor_sum(mul(bilstm(x, fwd, bwd), weights))
+
+        assert finite_diff_grad_check(fn, [x, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b]) < 1e-4
+
+    def test_gradcheck_shared_parameters(self, rng):
+        # Both directions reading one LstmParams must sum their gradients.
+        params = random_params(2, 3, rng)
+        x = Tensor(rng.normal(0, 1, (2, 4, 2), np.float64), requires_grad=True)
+
+        def fn():
+            out = bilstm(x, params, params)
+            return tensor_sum(mul(out, out))
+
+        assert finite_diff_grad_check(fn, [x, params.wx, params.wh, params.b]) < 1e-4
+
+    def test_tape_size_independent_of_sequence_length(self):
+        sizes = []
+        for frames in (64, 256):
+            config = replace(ClassifierConfig.desk(), input_frames=frames)
+            model = EmotionClassifier(config, Rng(3))
+            mels = Rng(4).normal(0, 1, (2, 1, config.input_bands, frames))
+            sizes.append(tape_nodes(softmax_cross_entropy(model.forward(Tensor(mels)), np.array([0, 1]))))
+        assert sizes[0] == sizes[1]
 
     def test_layer_initialization_deterministic(self):
         a = BiLstm(4, 3, Rng(5))

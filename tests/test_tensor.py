@@ -5,19 +5,15 @@ from serann.coremath import (
     Rng,
     ShapeError,
     Tensor,
-    concat,
     finite_diff_grad_check,
     gather_rows,
-    index,
     matmul,
     mul,
     relu,
     reshape,
-    sigmoid,
     softmax,
     stop_gradient,
     straight_through,
-    tanh,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -36,8 +32,8 @@ def scalarize(t):
 class TestPrimitiveGradients:
     @pytest.mark.parametrize(
         "op",
-        [relu, sigmoid, tanh, lambda t: softmax(t, axis=-1)],
-        ids=["relu", "sigmoid", "tanh", "softmax"],
+        [relu, lambda t: softmax(t, axis=-1)],
+        ids=["relu", "softmax"],
     )
     def test_unary_ops(self, op, rng):
         x = leaf((3, 4), rng)
@@ -70,8 +66,6 @@ class TestPrimitiveGradients:
         def fn():
             y = transpose(x, (1, 0, 2))
             y = reshape(y, (3, 8))
-            y = index(y, (slice(None), slice(1, 7)))
-            y = concat([y, y], axis=0)
             return scalarize(y)
 
         err = finite_diff_grad_check(fn, [x])

@@ -272,3 +272,13 @@ class TestExtractCodes:
         path = tmp_path / "codes.jsonl"
         write_codes(path, first)
         assert load_codes(path) == first
+
+    def test_batched_matches_per_utterance(self, desk_model):
+        # 40 utterances span a full batch of 32 and a partial one.
+        mels = Rng(12).normal(0, 1, (40, 80, 256))
+        by_id = {f"u{i:02d}": mel for i, mel in enumerate(mels)}
+        single = {}
+        for uid, mel in by_id.items():
+            _, codes = quantize(desk_model.encode(Tensor(mel[None, None])), desk_model.codebook)
+            single[uid] = codes.tolist()
+        assert extract_codes(by_id, desk_model) == single
