@@ -34,6 +34,7 @@ from .coremath.tensor import (
     Tensor,
     matmul,
     mul,
+    no_grad,
     reshape,
     softmax,
     tensor_sum,
@@ -174,7 +175,8 @@ def predict(model: EmotionClassifier, mels: np.ndarray, batch_size: int = 64) ->
     data = np.asarray(mels, dtype=model.dtype)
     for start in range(0, len(data), batch_size):
         chunk = data[start : start + batch_size]
-        out = model.forward(Tensor(chunk[:, None, :, :]))
+        with no_grad():
+            out = model.forward(Tensor(chunk[:, None, :, :]))
         logits_parts.append(out.data.copy())
     logits = np.concatenate(logits_parts, axis=0) if logits_parts else np.zeros((0, model.config.classes))
     return logits.argmax(axis=1), logits

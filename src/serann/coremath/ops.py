@@ -212,7 +212,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     loss = (lse - z[np.arange(n), labels]).mean()
     out_data = np.asarray(loss, dtype=z.dtype)
 
-    if not logits.requires_grad:
+    if not _needs_grad(logits):
         return Tensor(out_data)
 
     probs = ez / sumez

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, _needs_grad
 
 
 class EmptySequenceError(ValueError):
@@ -98,7 +98,7 @@ def bilstm(x: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
     out = np.empty((n, t, u + backward.units), np.result_type(x.data, *(q.data for q in params)))
     fwd = _Direction(x.data, forward, False, out[:, :, :u])
     bwd = _Direction(x.data, backward, True, out[:, :, u:])
-    if not any(q.requires_grad for q in (x,) + params):
+    if not _needs_grad(x, *params):
         return Tensor(out)
 
     def backprop(g):

@@ -7,12 +7,15 @@ accumulated on every node that requires them, intermediates included, so
 training code and tests can inspect any point of the graph.
 
 Graphs are built per step and discarded after ``backward``; parameters are
-long-lived leaves whose ``data`` the optimizer rebinds between steps.
+long-lived leaves whose ``data`` the optimizer rebinds between steps. Inside a
+``no_grad()`` scope no tape is recorded at all, for inference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,8 +170,28 @@ def _lift(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the scope: every op returns a constant Tensor
+    with no parents or backprop closure, whatever its inputs require. Values
+    are computed exactly as outside it. The scope is per thread and nests."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -214,7 +237,7 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(-a.data)
 
     def backprop(g):
@@ -226,7 +249,7 @@ def neg(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     # Derivative at exactly 0 is 0.
     out_data = np.maximum(a.data, 0)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
@@ -251,7 +274,7 @@ def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
@@ -263,7 +286,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.size // out_data.size
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
@@ -278,7 +301,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = a.data.reshape(shape)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
@@ -290,7 +313,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out_data = a.data.transpose(axes)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     inverse = tuple(np.argsort(axes))
@@ -326,7 +349,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out_data = e / e.sum(axis=axis, keepdims=True)
-    if not a.requires_grad:
+    if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
@@ -353,7 +376,7 @@ def straight_through(carrier: Tensor, values: np.ndarray) -> Tensor:
             f"straight_through value shape {values.shape} does not match "
             f"carrier shape {carrier.shape}"
         )
-    if not carrier.requires_grad:
+    if not _needs_grad(carrier):
         return Tensor(values.copy())
 
     def backprop(g):
@@ -368,7 +391,7 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     if table.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-d table, got {table.ndim}-d")
     out_data = table.data[idx].copy()
-    if not table.requires_grad:
+    if not _needs_grad(table):
         return Tensor(out_data)
 
     def backprop(g):

@@ -36,6 +36,7 @@ from .coremath.tensor import (
     Tensor,
     gather_rows,
     mul,
+    no_grad,
     reshape,
     stop_gradient,
     straight_through,
@@ -225,11 +226,34 @@ def _check_codebook_rows(embeddings: np.ndarray) -> None:
         raise CodebookError("codebook contains non-finite entries")
 
 
+# Rows per GEMM block in ``nearest_codes`` are sized so a (rows, K) float64
+# distance block holds about this many elements (8 MB).
+_DISTANCE_BLOCK = 2**20
+
+
 def nearest_codes(z: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
     """Index of the nearest embedding row per latent vector.
 
-    Distances are accumulated in float64 from explicit squared differences,
-    in row blocks sized to bound memory; ties resolve to the lowest index.
+    The result is the argmin, ties to the lowest index, of the explicit
+    float64 distances ``((z - e) ** 2).sum(-1)`` (``_explicit_codes``); the
+    GEMM below only narrows down which rows that formula must be run on.
+
+    Each row block first ranks the whole codebook by the exact-L2 expansion
+    ``approx_k = |z|^2 - 2 z.e_k + |e_k|^2`` in float64 through BLAS (the
+    decomposition FAISS uses). With n = D + 3 and u = 2**-53, let
+    gamma = n u / (1 - n u) and M = |z| + max_k |e_k|. Whatever the summation
+    order or FMA use, the GEMM value and the explicit sum are each within
+    gamma * M**2 of the true squared distance, plus an absolute n * 2**-1074
+    should products underflow. So the explicit formula's winner w satisfies
+    approx_w <= explicit_w + 2 err <= explicit_m + 2 err <= approx_m + 4 err
+    for m = argmin approx, and lies in the candidate set
+    {k : approx_k <= min approx + 4 err}. A row with one candidate takes it;
+    otherwise the explicit formula runs over its candidates in ascending
+    index order, which is the same contiguous reduction per (row, code) as
+    the full formula, so its argmin is bitwise the full formula's answer,
+    ties included. Rows whose minimum is not finite, or whose M**2 is 2**1000
+    or more so that a sum could overflow (NaN or inf latents or codebook
+    rows, huge values), take the explicit formula over the whole codebook.
     """
     if embeddings.size == 0:
         raise CodebookError("codebook is empty")
@@ -239,9 +263,42 @@ def nearest_codes(z: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"latent dim {z64.shape[-1]} does not match embedding dim {e64.shape[-1]}"
         )
-    # Blocks of about 2**18 elements keep the float64 temporaries near 2 MB;
-    # larger ones cost more in page faults than they save in loop overhead.
-    block = max(1, 2**18 // max(e64.size, 1))
+    n = e64.shape[1] + 3
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    underflow = n * 2.0**-1074
+    ee = np.einsum("kd,kd->k", e64, e64)
+    e_norm_max = np.sqrt(ee.max())
+    block = max(1, _DISTANCE_BLOCK // len(e64))
+    codes = np.empty(len(z64), dtype=np.int64)
+    for start in range(0, len(z64), block):
+        chunk = z64[start : start + block]
+        zz = np.einsum("nd,nd->n", chunk, chunk)
+        # Non-finite rows are answered by the explicit formula below, which
+        # raises its own floating-point warnings.
+        with np.errstate(invalid="ignore", over="ignore"):
+            approx = chunk @ e64.T
+            approx *= -2.0
+            approx += zz[:, None]
+            approx += ee
+        lo = approx.min(axis=1)
+        scale = (np.sqrt(zz) + e_norm_max) ** 2
+        limit = lo + 4.0 * (gamma * scale + underflow)
+        finite = np.isfinite(lo) & (scale < 2.0**1000)
+        out = codes[start : start + len(chunk)]
+        out[:] = approx.argmin(axis=1)
+        if not finite.all():
+            out[~finite] = _explicit_codes(chunk[~finite], e64)
+        candidates = approx <= limit[:, None]
+        for row in np.flatnonzero(finite & (candidates.sum(axis=1) > 1)):
+            cand = np.flatnonzero(candidates[row])
+            out[row] = cand[((chunk[row] - e64[cand]) ** 2).sum(axis=-1).argmin()]
+    return codes
+
+
+def _explicit_codes(z64: np.ndarray, e64: np.ndarray) -> np.ndarray:
+    """Argmin, ties to the lowest index, of explicit float64 squared
+    differences; row blocks keep the (rows, K, D) temporaries near 2 MB."""
+    block = max(1, 2**18 // e64.size)
     codes = np.empty(len(z64), dtype=np.int64)
     for start in range(0, len(z64), block):
         chunk = z64[start : start + block]
@@ -327,7 +384,8 @@ def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray], batch_size: int
     for start in range(0, len(mels), batch_size):
         chunk = np.asarray(mels[start : start + batch_size], dtype=model.dtype)
         x = Tensor(chunk[:, None, :, :])
-        z_q, codes = quantize(model.encode(x), model.codebook)
+        with no_grad():
+            z_q, codes = quantize(model.encode(x), model.codebook)
         yield x, z_q, codes.reshape(len(chunk), -1)
 
 
@@ -335,7 +393,8 @@ def reconstruction_loss(model: VqVae, mels: np.ndarray, batch_size: int = 32) ->
     """Mean squared reconstruction error over a (N, 80, 256) array."""
     total = 0.0
     for x, z_q, _ in _quantized_batches(model, mels, batch_size):
-        x_hat = model.decode(z_q)
+        with no_grad():
+            x_hat = model.decode(z_q)
         total += float(((x.data - x_hat.data) ** 2).mean()) * len(x.data)
     return total / len(mels)
 

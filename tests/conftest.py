@@ -42,6 +42,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
 
 
+def brute_force_codes(z, embeddings):
+    """Nearest codebook row per latent: the argmin, lowest index on ties, of
+    explicit float64 squared differences to every row, one latent at a time.
+    Each distance has the same bits as ``float(np.sum((row - e) ** 2))``
+    taken pair by pair."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    return np.array(
+        [int(np.argmin(((row - e) ** 2).sum(axis=1))) for row in np.asarray(z, dtype=np.float64)],
+        dtype=np.int64,
+    )
+
+
+@pytest.fixture()
+def taped_tensors(monkeypatch):
+    """Every Tensor built with tape parents or a backprop closure while the
+    test runs, in construction order."""
+    from serann.coremath.tensor import Tensor
+
+    taped = []
+    init = Tensor.__init__
+
+    def recording_init(self, data, requires_grad=False, parents=(), backprop=None, name=None, dtype=None):
+        init(self, data, requires_grad, parents, backprop, name, dtype)
+        if parents or backprop is not None:
+            taped.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    return taped
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     """Ten-speaker synthetic corpus (5 male, 5 female), 8 utterances each."""

@@ -250,6 +250,14 @@ class TestTraining:
 
 
 class TestPredict:
+    def test_records_no_tape_and_matches_taped_forward(self, desk_model, corpus_arrays, taped_tensors):
+        x, _ = corpus_arrays
+        expected = desk_model.forward(Tensor(x[:4, None].astype(desk_model.dtype))).data
+        taped_tensors.clear()
+        _, logits = predict(desk_model, x[:4])
+        assert taped_tensors == []
+        assert logits.tobytes() == expected.tobytes()
+
     def test_deterministic(self, desk_model, corpus_arrays):
         x, _ = corpus_arrays
         _, logits_a = predict(desk_model, x[:6])

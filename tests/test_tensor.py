@@ -1,17 +1,29 @@
+import threading
+
 import numpy as np
 import pytest
 
 from serann.coremath import (
+    LstmParams,
     Rng,
     ShapeError,
     Tensor,
+    add,
+    bilstm,
+    conv2d,
+    conv2d_transpose,
+    dense,
     finite_diff_grad_check,
     gather_rows,
     matmul,
+    mse,
     mul,
+    neg,
+    no_grad,
     relu,
     reshape,
     softmax,
+    softmax_cross_entropy,
     stop_gradient,
     straight_through,
     tensor_mean,
@@ -145,6 +157,58 @@ class TestTensorBasics:
     def test_matmul_shape_errors_name_axes(self):
         with pytest.raises(ShapeError, match="inner dimensions"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+
+def every_op(rng):
+    """A thunk applying every tape-recording op to leaves that require grad."""
+    a, b, bias = leaf((3, 4), rng), leaf((4, 2), rng), leaf((2,), rng)
+    img, kern, tkern = leaf((2, 1, 6, 5), rng), leaf((3, 1, 3, 3), rng), leaf((3, 2, 3, 3), rng)
+    seq = leaf((2, 3, 4), rng)
+    lstm = LstmParams(leaf((4, 8), rng), leaf((2, 8), rng), leaf((8,), rng))
+    return lambda: [
+        add(a, a), mul(a, a), neg(a), relu(a), tensor_sum(a), tensor_mean(a, axis=0),
+        reshape(a, (4, 3)), transpose(a, (1, 0)), matmul(a, b), softmax(a),
+        straight_through(a, a.data * 2), gather_rows(a, np.array([2, 0, 2])),
+        conv2d(img, kern, padding=1), conv2d_transpose(conv2d(img, kern), tkern, stride=2),
+        dense(a, b, bias, "relu"), softmax_cross_entropy(a, np.array([0, 1, 3])), mse(a, neg(a)),
+        bilstm(seq, lstm, lstm),
+    ]
+
+
+class TestNoGrad:
+    def test_scope_records_no_tape_and_keeps_values(self, rng, taped_tensors):
+        ops = every_op(rng)
+        with no_grad():
+            inside = ops()
+        assert taped_tensors == []
+        outside = ops()
+        assert all(out._parents for out in outside)
+        for quiet, taped in zip(inside, outside):
+            assert quiet._parents == () and quiet._backprop is None and not quiet.requires_grad
+            assert quiet.data.dtype == taped.data.dtype
+            assert quiet.data.tobytes() == taped.data.tobytes()
+
+    def test_gradients_flow_after_the_scope_and_after_an_exception(self, rng):
+        x = leaf((3,), rng)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the scope")
+        with no_grad():
+            with no_grad():
+                pass
+            assert mul(x, x)._parents == ()
+        tensor_sum(mul(x, x)).backward()
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_scope_is_per_thread(self, rng):
+        x = leaf((3,), rng)
+        parents = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: parents.append(mul(x, x)._parents))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(parents) == 1 and len(parents[0]) == 2
 
 
 class TestRngDeterminism:

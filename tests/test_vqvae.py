@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_codes
+from serann import vqvae
 from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mul, tensor_sum
 from serann.synthetic import two_pattern_mels
 from serann.vqvae import (
@@ -15,6 +17,7 @@ from serann.vqvae import (
     load_codes,
     nearest_codes,
     quantize,
+    reconstruction_loss,
     train_step,
     vqvae_losses,
     write_codes,
@@ -24,14 +27,6 @@ from serann.vqvae import (
 @pytest.fixture(scope="module")
 def desk_model():
     return VqVae(VqVaeConfig.desk(), Rng(11))
-
-
-def brute_force_codes(z, embeddings):
-    codes = []
-    for row in np.asarray(z, dtype=np.float64):
-        dists = [float(np.sum((row - e) ** 2)) for e in np.asarray(embeddings, dtype=np.float64)]
-        codes.append(int(np.argmin(dists)))
-    return np.array(codes)
 
 
 class TestConfig:
@@ -137,6 +132,78 @@ class TestQuantize:
         z = gen.normal(size=(12, 8))
         embeddings = gen.normal(size=(64, 8))
         np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    def test_near_ties_need_the_rerank(self):
+        # Codebook and latents sit 1e-6 apart around a point 1e3 out, so the
+        # GEMM expansion's rounding error swamps the gaps between distances.
+        gen = np.random.default_rng(5)
+        base = gen.normal(size=512) * 1e3
+        embeddings = base + gen.normal(size=(64, 512)) * 1e-6
+        z = base + gen.normal(size=(32, 512)) * 1e-6
+        expected = brute_force_codes(z, embeddings)
+        gemm_only = (
+            (z**2).sum(axis=1)[:, None] - 2.0 * z @ embeddings.T + (embeddings**2).sum(axis=1)
+        ).argmin(axis=1)
+        assert np.sum(gemm_only != expected) >= 16
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), expected)
+
+    def test_paper_size_codebook(self):
+        gen = np.random.default_rng(6)
+        embeddings = gen.normal(size=(8192, 512))
+        z = gen.normal(size=(256, 512))
+        z[::2] = embeddings[gen.integers(0, 8192, 128)] + gen.normal(size=(128, 512)) * 0.1
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    def test_duplicate_row_maps_to_lower_index(self):
+        gen = np.random.default_rng(7)
+        embeddings = gen.normal(size=(256, 64))
+        embeddings[250] = embeddings[10]
+        z = np.stack([embeddings[10], embeddings[250] + gen.normal(size=64) * 1e-3])
+        assert nearest_codes(z, embeddings).tolist() == [10, 10]
+
+    @pytest.mark.parametrize("extra", [0, 1, 4096, 4097])
+    def test_latent_counts_around_a_block(self, extra):
+        gen = np.random.default_rng(extra)
+        embeddings = gen.normal(size=(256, 8))
+        assert vqvae._DISTANCE_BLOCK // len(embeddings) == 4096
+        z = gen.normal(size=(extra, 8))
+        codes = nearest_codes(z, embeddings)
+        assert codes.shape == (extra,) and codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, brute_force_codes(z, embeddings))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_matches_bruteforce_at_offsets(self, seed, log_offset):
+        # Latents and codes 1e-3 apart around a point 1e-3 to 1e3 out; some
+        # latents are exact codebook rows, some rows are duplicated.
+        gen = np.random.default_rng(seed)
+        base = gen.normal(size=16) * 10.0**log_offset
+        embeddings = base + gen.normal(size=(64, 16)) * 1e-3
+        embeddings[gen.integers(0, 64, 4)] = embeddings[gen.integers(0, 64, 4)]
+        z = base + gen.normal(size=(24, 16)) * 1e-3
+        z[:4] = embeddings[gen.integers(0, 64, 4)]
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_inputs_keep_the_explicit_answer(self):
+        embeddings = np.random.default_rng(1).normal(size=(20, 8))
+        with_nan = embeddings.copy()
+        with_nan[5, 0] = np.nan
+        with_inf = embeddings.copy()
+        with_inf[7, 0] = np.inf
+        z = np.repeat([np.nan, np.inf, -np.inf, 1.0, 1e200], 8)[:, None] * np.ones(8)
+        for table, expected in (
+            (embeddings, [0, 0, 0, 1, 0]),
+            (with_nan, [0, 5, 5, 5, 5]),
+            (with_inf, [0, 7, 0, 1, 0]),
+        ):
+            explicit = ((z[:, None, :] - table[None, :, :]) ** 2).sum(axis=-1).argmin(axis=1)
+            codes = nearest_codes(z, table)
+            np.testing.assert_array_equal(codes, explicit)
+            assert codes[::8].tolist() == expected
 
     def test_quantize_shapes_and_codes(self, desk_model, corpus_mels):
         mel = next(iter(corpus_mels.values()))
@@ -282,3 +349,14 @@ class TestExtractCodes:
             _, codes = quantize(desk_model.encode(Tensor(mel[None, None])), desk_model.codebook)
             single[uid] = codes.tolist()
         assert extract_codes(by_id, desk_model) == single
+
+    def test_inference_records_no_tape(self, desk_model, taped_tensors):
+        mels = Rng(13).normal(0, 1, (3, 80, 256)).astype(np.float32)
+        x = Tensor(mels[:, None])
+        z_q, codes = quantize(desk_model.encode(x), desk_model.codebook)
+        expected = float(((x.data - desk_model.decode(z_q).data) ** 2).mean()) * 3 / 3
+        taped_tensors.clear()
+        by_id = {f"u{i}": mel for i, mel in enumerate(mels)}
+        assert extract_codes(by_id, desk_model) == dict(zip(by_id, codes.reshape(3, -1).tolist()))
+        assert reconstruction_loss(desk_model, mels) == expected
+        assert taped_tensors == []
