@@ -17,7 +17,6 @@ from typing import Mapping
 import numpy as np
 
 from ..fileio import atomic_write
-from .rng import Rng
 from .tensor import Tensor
 
 MAGIC = b"SERANN"
@@ -104,12 +103,27 @@ def load_into(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray]) -> 
         tensor.data = blob.astype(tensor.dtype, copy=True)
 
 
+class _NoDraws:
+    """Stands in for ``Rng`` while ``Checkpointable.load`` builds a model
+    whose every parameter the file replaces: it hands out uninitialised
+    arrays and draws nothing."""
+
+    def spawn(self, tag: str) -> "_NoDraws":
+        return self
+
+    def uniform(self, low: float, high: float, shape, dtype=np.float32) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
 class Checkpointable:
     """Model file support: the parameter blob at ``path`` plus the model's
     configuration in a ``<path>.config.json`` sidecar.
 
     Subclasses name their config type in ``config_type`` (with ``to_json``
     and ``from_json``), build from ``(config, rng)`` and expose ``params()``.
+    ``load`` calls that constructor with ``_NoDraws`` for ``rng``, so a
+    constructor draws through ``spawn`` and ``uniform`` only, and checks the
+    values it drew only when ``rng`` is an ``Rng``.
     """
 
     config_type: type
@@ -128,6 +142,6 @@ class Checkpointable:
                     f"{sidecar}: config sidecar missing; pass the configuration explicitly"
                 )
             config = cls.config_type.from_json(json.loads(sidecar.read_text()))
-        model = cls(config, Rng(0))
+        model = cls(config, _NoDraws())
         load_into(model.params(), load_checkpoint(path))
         return model

@@ -11,7 +11,7 @@ import numpy as np
 from .ops import conv2d, conv2d_transpose, dense
 from .rng import Rng
 from .rnn import LstmParams, bilstm
-from .tensor import Tensor, relu, reshape
+from .tensor import Tensor
 
 
 def he_uniform(shape, fan_in: int, rng: Rng, dtype=np.float32) -> np.ndarray:
@@ -37,12 +37,6 @@ def _weights_and_bias(
     return Tensor(init, requires_grad=True), Tensor(bias, requires_grad=True)
 
 
-def _channel_bias(out: Tensor, bias: Tensor, activation: str | None) -> Tensor:
-    """Add a per-channel bias to an NCHW map, then the activation."""
-    out = out + reshape(bias, (1, bias.shape[0], 1, 1))
-    return relu(out) if activation == "relu" else out
-
-
 class Conv2d:
     def __init__(
         self,
@@ -64,8 +58,7 @@ class Conv2d:
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = conv2d(x, self.kernels, self.stride, self.padding)
-        return _channel_bias(out, self.bias, self.activation)
+        return conv2d(x, self.kernels, self.stride, self.padding, self.bias, self.activation)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}
@@ -94,8 +87,10 @@ class ConvTranspose2d:
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = conv2d_transpose(x, self.kernels, self.stride, self.padding, self.output_padding)
-        return _channel_bias(out, self.bias, self.activation)
+        return conv2d_transpose(
+            x, self.kernels, self.stride, self.padding, self.output_padding, self.bias,
+            self.activation,
+        )
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}

@@ -3,16 +3,56 @@ and softmax cross-entropy.
 
 Convolutions take NCHW inputs and FCHW kernels. Strides are (sh, sw) pairs,
 padding is explicit per edge as ((top, bottom), (left, right)); plain ints
-and (h, w) pairs are accepted and expanded symmetrically. The transpose
-convolution is the exact adjoint of the forward gather, so their shape maps
-invert each other for matched configurations.
+and (h, w) pairs are accepted and expanded symmetrically, and no padding may
+be negative. The transpose convolution is the exact adjoint of the forward
+gather, so their shape maps invert each other for matched configurations.
+
+Both convolutions lower to GEMMs over im2col columns (Chellapilla et al.,
+2006) through one gather and one scatter. ``_gather`` lays windows out
+channel-major, as a contiguous (C*kh*kw, N*OH*OW) matrix, i.e. a
+(C, kh, kw, N, OH, OW) array, so the products that read it need no copy:
+
+- the per-sample products ``k2 @ cols[:, n]`` (the forward convolution and
+  the transpose's input gradient) are one batched matmul over a strided
+  view of the matrix, and land directly in NCHW;
+- the kernel gradient is one GEMM, ``(cols @ g(F, N*OH*OW).T).T``, on the
+  matrix itself (below ``_SMALL_GEMM`` it takes a copy).
+
+``_scatter_products`` forms the products that go back onto an image (the
+input gradient and the transpose's forward) and scatter-adds them a chunk
+of whole samples at a time, about ``_CHUNK_ELEMENTS`` (2**22) column
+elements per chunk, so their memory stays bounded whatever the batch (after
+Cho & Brand, "MEC", arXiv 1706.06873).
+
+On a given BLAS the results are bitwise equal to the unchunked im2col
+lowering whose kernel gradient contracts a transposed copy of the columns,
+with bias and ReLU as separate ops (``reference_conv2d`` and
+``reference_conv2d_transpose`` in tests/conftest.py): every GEMM element is
+summed in the same order (see ``_SMALL_GEMM``), and every scatter adds the
+kernel taps in the same (i, j) order. The bias and ReLU ride in the
+convolution's tape node, with a hand-written adjoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor, _needs_grad, relu
+
+# Samples per chunk of the scattered products are sized so one chunk of
+# columns holds about this many elements (16 MB in float32).
+_CHUNK_ELEMENTS = 2**22
+
+# OpenBLAS gives each element of a GEMM the same bits whichever operand
+# comes first or is transposed, except that on AVX-512 machines it hands
+# GEMMs of at most 100**3 multiply-adds to small-matrix kernels whose
+# summation order depends on the transposition flags. Kernel gradients that
+# small, over more than one sample, therefore copy the columns into the
+# row-major (N*OH*OW, C*kh*kw) operand the reference lowering passes there;
+# the copy is at most 100**3 / F elements. tests/test_ops.py holds both
+# regimes to the reference's bits.
+_SMALL_GEMM = 100**3
 
 
 def _stride_pair(stride) -> tuple[int, int]:
@@ -26,37 +66,98 @@ def _stride_pair(stride) -> tuple[int, int]:
 
 def _pad_spec(padding) -> tuple[tuple[int, int], tuple[int, int]]:
     if isinstance(padding, int):
-        return (padding, padding), (padding, padding)
-    a, b = padding
-    if isinstance(a, int) and isinstance(b, int):
-        return (a, a), (b, b)
-    (pt, pb), (pl, pr) = a, b
-    return (int(pt), int(pb)), (int(pl), int(pr))
+        spec = (padding, padding), (padding, padding)
+    else:
+        a, b = padding
+        if isinstance(a, int) and isinstance(b, int):
+            spec = (a, a), (b, b)
+        else:
+            (pt, pb), (pl, pr) = a, b
+            spec = (int(pt), int(pb)), (int(pl), int(pr))
+    if min(spec[0] + spec[1]) < 0:
+        raise ShapeError(f"padding must be non-negative, got {spec}")
+    return spec
 
 
-def _gather_windows(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
-    """Strided window extraction to (n, c, kh, kw, oh, ow)."""
+def _check_epilogue(bias: Tensor | None, channels: int, activation: str | None) -> None:
+    if bias is not None and bias.shape != (channels,):
+        raise ShapeError(f"bias shape {bias.shape} must be ({channels},)")
+    if activation not in (None, "none", "relu"):
+        raise ValueError(f"unknown activation {activation!r}")
+
+
+def _epilogue(out: np.ndarray, bias: Tensor | None, activation: str | None) -> None:
+    """Add the per-channel bias to an NCHW map and apply the activation, in
+    place."""
+    if bias is not None:
+        out += bias.data.reshape(1, -1, 1, 1)
+    if activation == "relu":
+        np.maximum(out, 0, out=out)
+
+
+def _epilogue_grad(g: np.ndarray, out: np.ndarray, bias: Tensor | None, activation) -> np.ndarray:
+    """Route the output gradient back through the activation (derivative 0
+    at exactly 0) onto the bias; returns the gradient before the bias."""
+    if activation == "relu":
+        g = g * (out > 0)
+    if bias is not None and bias.requires_grad:
+        bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+    return g
+
+
+def _gather(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+    """Windows of ``xp`` (N, C, Hp, Wp) as a contiguous (C*kh*kw, N*OH*OW)
+    matrix, laid out (C, kh, kw, N, OH, OW)."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-    return cols
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, : sh * (oh - 1) + 1 : sh, : sw * (ow - 1) + 1 : sw]
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
-def _scatter_windows(cols: np.ndarray, buf: np.ndarray, kh, kw, sh, sw, oh, ow) -> None:
-    """Adjoint of ``_gather_windows``: scatter-add windows into ``buf``."""
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
+def _per_sample(k2: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """``k2 @`` each sample's columns of ``_gather``'s matrix: (N, F, OH*OW)."""
+    return np.matmul(k2, cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
+
+
+def _kernel_grad(g2: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum over samples of ``g2[n] @ cols[:, n].T``: (F, C*kh*kw) for
+    ``g2`` (N, F, OH*OW) and ``_gather``'s matrix."""
+    n, f, p = g2.shape
+    g_rows = g2.transpose(1, 0, 2).reshape(f, n * p)
+    if n > 1 and f * cols.size <= _SMALL_GEMM:
+        return np.dot(g_rows, np.ascontiguousarray(cols.T))
+    return np.dot(cols, g_rows.T).T
+
+
+def _scatter_products(
+    k2: np.ndarray, g2: np.ndarray, buf: np.ndarray, kh, kw, sh, sw, oh, ow
+) -> None:
+    """Adjoint of ``_per_sample`` then ``_gather``: add each sample's
+    columns ``k2.T @ g2[n]`` onto its (C, Hp, Wp) image in ``buf``, a chunk
+    of samples at a time, kernel taps in (i, j) order."""
+    n, c = buf.shape[:2]
+    ckk = k2.shape[1]
+    step = max(1, _CHUNK_ELEMENTS // (ckk * oh * ow))
+    for start in range(0, n, step):
+        part = buf[start : start + step]
+        cols = np.matmul(k2.T, g2[start : start + step])
+        cols = cols.reshape(len(part), c, kh, kw, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                part[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad_total: int) -> int:
     return (size + pad_total - kernel) // stride + 1
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=0) -> Tensor:
-    """Cross-correlation of ``x`` (N,C,H,W) with ``kernels`` (F,C,kh,kw)."""
+def conv2d(
+    x: Tensor, kernels: Tensor, stride=(1, 1), padding=0, bias: Tensor | None = None,
+    activation: str | None = None,
+) -> Tensor:
+    """Cross-correlation of ``x`` (N,C,H,W) with ``kernels`` (F,C,kh,kw),
+    plus an optional per-channel ``bias`` (F,), then an optional ReLU."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got {x.ndim}-d")
     if kernels.ndim != 4:
@@ -67,6 +168,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=0) -> Tensor:
         raise ShapeError(
             f"kernel channel axis ({kc}) does not match input channel axis ({c})"
         )
+    _check_epilogue(bias, f, activation)
     sh, sw = _stride_pair(stride)
     (pt, pb), (pl, pr) = _pad_spec(padding)
     hp, wp = h + pt + pb, w + pl + pr
@@ -79,32 +181,33 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=0) -> Tensor:
     ow = conv_output_size(w, kw, sw, pl + pr)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _gather_windows(xp, kh, kw, sh, sw, oh, ow)
-    cols2 = cols.reshape(n, c * kh * kw, oh * ow)
+    cols = _gather(xp, kh, kw, sh, sw, oh, ow)
     k2 = kernels.data.reshape(f, c * kh * kw)
-    out_data = np.matmul(k2, cols2).reshape(n, f, oh, ow)
+    out_data = _per_sample(k2, cols, n).reshape(n, f, oh, ow)
+    _epilogue(out_data, bias, activation)
 
-    if not _needs_grad(x, kernels):
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    if not _needs_grad(*parents):
         return Tensor(out_data)
 
     def backprop(g):
-        g2 = g.reshape(n, f, oh * ow)
+        g2 = _epilogue_grad(g, out_data, bias, activation).reshape(n, f, oh * ow)
         if kernels.requires_grad:
-            dk = np.tensordot(g2, cols2, axes=([0, 2], [0, 2]))
-            kernels.accumulate_grad(dk.reshape(kernels.shape))
+            kernels.accumulate_grad(_kernel_grad(g2, cols).reshape(kernels.shape))
         if x.requires_grad:
-            dcols = np.matmul(k2.T, g2).reshape(n, c, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
-            _scatter_windows(dcols, dxp, kh, kw, sh, sw, oh, ow)
+            dxp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+            _scatter_products(k2, g2, dxp, kh, kw, sh, sw, oh, ow)
             x.accumulate_grad(dxp[:, :, pt : pt + h, pl : pl + w])
 
-    return Tensor(out_data, True, (x, kernels), backprop)
+    return Tensor(out_data, True, parents, backprop)
 
 
 def conv2d_transpose(
-    x: Tensor, kernels: Tensor, stride=(1, 1), padding=0, output_padding=(0, 0)
+    x: Tensor, kernels: Tensor, stride=(1, 1), padding=0, output_padding=(0, 0),
+    bias: Tensor | None = None, activation: str | None = None,
 ) -> Tensor:
-    """Transposed convolution: ``x`` (N,F,H,W), ``kernels`` (F,C,kh,kw).
+    """Transposed convolution: ``x`` (N,F,H,W), ``kernels`` (F,C,kh,kw), plus
+    an optional per-channel ``bias`` (C,), then an optional ReLU.
 
     Output size per axis is (in - 1) * stride - pad_total + kernel +
     output_padding, the inverse of ``conv2d``'s shape map; output_padding
@@ -121,9 +224,12 @@ def conv2d_transpose(
         raise ShapeError(
             f"kernel input-channel axis ({fk}) does not match input channel axis ({f})"
         )
+    _check_epilogue(bias, c, activation)
     sh, sw = _stride_pair(stride)
     (pt, pb), (pl, pr) = _pad_spec(padding)
     oph, opw = (output_padding, output_padding) if isinstance(output_padding, int) else output_padding
+    if oph < 0 or opw < 0:
+        raise ShapeError(f"output_padding must be non-negative, got {(oph, opw)}")
     if oph >= sh or opw >= sw:
         raise ShapeError(
             f"output_padding {(oph, opw)} must be smaller than stride {(sh, sw)}"
@@ -139,27 +245,26 @@ def conv2d_transpose(
 
     k2 = kernels.data.reshape(f, c * kh * kw)
     x2 = x.data.reshape(n, f, h * w)
-    cols = np.matmul(k2.T, x2).reshape(n, c, kh, kw, h, w)
     buf = np.zeros((n, c, bh, bw), dtype=x.dtype)
-    _scatter_windows(cols, buf, kh, kw, sh, sw, h, w)
+    _scatter_products(k2, x2, buf, kh, kw, sh, sw, h, w)
     out_data = buf[:, :, pt : bh - pb, pl : bw - pr].copy()
+    _epilogue(out_data, bias, activation)
 
-    if not _needs_grad(x, kernels):
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    if not _needs_grad(*parents):
         return Tensor(out_data)
 
     def backprop(g):
+        g = _epilogue_grad(g, out_data, bias, activation)
         gbuf = np.zeros((n, c, bh, bw), dtype=g.dtype)
         gbuf[:, :, pt : bh - pb, pl : bw - pr] = g
-        gcols = _gather_windows(gbuf, kh, kw, sh, sw, h, w)
-        gcols2 = gcols.reshape(n, c * kh * kw, h * w)
+        gcols = _gather(gbuf, kh, kw, sh, sw, h, w)
         if x.requires_grad:
-            dx = np.matmul(k2, gcols2).reshape(n, f, h, w)
-            x.accumulate_grad(dx)
+            x.accumulate_grad(_per_sample(k2, gcols, n).reshape(n, f, h, w))
         if kernels.requires_grad:
-            dk = np.tensordot(x2, gcols2, axes=([0, 2], [0, 2]))
-            kernels.accumulate_grad(dk.reshape(kernels.shape))
+            kernels.accumulate_grad(_kernel_grad(x2, gcols).reshape(kernels.shape))
 
-    return Tensor(out_data, True, (x, kernels), backprop)
+    return Tensor(out_data, True, parents, backprop)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str | None = None) -> Tensor:
@@ -171,10 +276,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str | None = Non
         raise ShapeError(
             f"dense input feature axis ({x.shape[-1]}) does not match weight rows ({d})"
         )
-    if bias.shape != (k,):
-        raise ShapeError(f"dense bias shape {bias.shape} must be ({k},)")
-    if activation not in (None, "none", "relu"):
-        raise ValueError(f"unknown activation {activation!r}")
+    _check_epilogue(bias, k, activation)
 
     lead = x.shape[:-1]
     flat = x.reshape((-1, d)) if x.ndim != 2 else x

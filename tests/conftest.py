@@ -54,6 +54,103 @@ def brute_force_codes(z, embeddings):
     )
 
 
+def _reference_gather(xp, kh, kw, sh, sw, oh, ow):
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols
+
+
+def _reference_scatter(cols, buf, kh, kw, sh, sw, oh, ow):
+    for i in range(kh):
+        for j in range(kw):
+            buf[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
+
+
+def _reference_epilogue(out, bias, activation):
+    from serann.coremath.tensor import relu, reshape
+
+    if bias is not None:
+        out = out + reshape(bias, (1, bias.shape[0], 1, 1))
+    return relu(out) if activation == "relu" else out
+
+
+def reference_conv2d(x, kernels, stride, padding, bias=None, activation=None):
+    """Unchunked im2col lowering with a ``tensordot`` kernel gradient, bias
+    and ReLU as separate tape ops. ``stride`` is an (sh, sw) pair and
+    ``padding`` ((top, bottom), (left, right))."""
+    from serann.coremath.tensor import Tensor
+
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernels.shape
+    sh, sw = stride
+    (pt, pb), (pl, pr) = padding
+    oh = (h + pt + pb - kh) // sh + 1
+    ow = (w + pl + pr - kw) // sw + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    cols2 = _reference_gather(xp, kh, kw, sh, sw, oh, ow).reshape(n, c * kh * kw, oh * ow)
+    k2 = kernels.data.reshape(f, c * kh * kw)
+
+    def backprop(g):
+        g2 = g.reshape(n, f, oh * ow)
+        if kernels.requires_grad:
+            dk = np.tensordot(g2, cols2, axes=([0, 2], [0, 2]))
+            kernels.accumulate_grad(dk.reshape(kernels.shape))
+        if x.requires_grad:
+            dcols = np.matmul(k2.T, g2).reshape(n, c, kh, kw, oh, ow)
+            dxp = np.zeros_like(xp)
+            _reference_scatter(dcols, dxp, kh, kw, sh, sw, oh, ow)
+            x.accumulate_grad(dxp[:, :, pt : pt + h, pl : pl + w])
+
+    out = Tensor(np.matmul(k2, cols2).reshape(n, f, oh, ow), True, (x, kernels), backprop)
+    return _reference_epilogue(out, bias, activation)
+
+
+def reference_conv2d_transpose(x, kernels, stride, padding, output_padding, bias=None, activation=None):
+    """The adjoint lowering of ``reference_conv2d``, same conventions, with
+    ``output_padding`` an (h, w) pair."""
+    from serann.coremath.tensor import Tensor
+
+    n, f, h, w = x.shape
+    _, c, kh, kw = kernels.shape
+    sh, sw = stride
+    (pt, pb), (pl, pr) = padding
+    bh = (h - 1) * sh + kh + output_padding[0]
+    bw = (w - 1) * sw + kw + output_padding[1]
+    k2 = kernels.data.reshape(f, c * kh * kw)
+    x2 = x.data.reshape(n, f, h * w)
+    buf = np.zeros((n, c, bh, bw), dtype=x.dtype)
+    _reference_scatter(np.matmul(k2.T, x2).reshape(n, c, kh, kw, h, w), buf, kh, kw, sh, sw, h, w)
+
+    def backprop(g):
+        gbuf = np.zeros((n, c, bh, bw), dtype=g.dtype)
+        gbuf[:, :, pt : bh - pb, pl : bw - pr] = g
+        gcols2 = _reference_gather(gbuf, kh, kw, sh, sw, h, w).reshape(n, c * kh * kw, h * w)
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(k2, gcols2).reshape(n, f, h, w))
+        if kernels.requires_grad:
+            dk = np.tensordot(x2, gcols2, axes=([0, 2], [0, 2]))
+            kernels.accumulate_grad(dk.reshape(kernels.shape))
+
+    out = Tensor(buf[:, :, pt : bh - pb, pl : bw - pr].copy(), True, (x, kernels), backprop)
+    return _reference_epilogue(out, bias, activation)
+
+
+def tape_nodes(root):
+    """Number of tensors reachable from ``root`` through recorded parents,
+    ``root`` and the leaves included."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
 @pytest.fixture()
 def taped_tensors(monkeypatch):
     """Every Tensor built with tape parents or a backprop closure while the

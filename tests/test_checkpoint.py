@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
     CheckpointError,
     CheckpointVersionError,
+    Rng,
     Tensor,
     load_checkpoint,
     load_into,
     save_checkpoint,
 )
 from serann.coremath.checkpoint import FORMAT_VERSION, MAGIC
+from serann.vqvae import VqVae, VqVaeConfig
 
 
 @pytest.fixture()
@@ -76,3 +79,25 @@ def test_load_into_checks_names_and_shapes(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_checkpoint(tmp_path / "x", {"w": np.zeros(3, dtype=np.int32)})
+
+
+@pytest.mark.parametrize(
+    "model_type, config",
+    [(VqVae, VqVaeConfig.desk()), (EmotionClassifier, ClassifierConfig.desk())],
+)
+def test_model_load_draws_nothing_and_restores_every_bit(tmp_path, monkeypatch, model_type, config):
+    model = model_type(config, Rng(9))
+    path = tmp_path / "model.serann"
+    model.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load drew random numbers")
+
+    for name in ("__init__", "uniform", "normal"):
+        monkeypatch.setattr(Rng, name, no_draws)
+    loaded = model_type.load(path)
+    saved = model.params()
+    assert set(loaded.params()) == set(saved)
+    for name, tensor in loaded.params().items():
+        assert tensor.dtype == saved[name].dtype
+        assert tensor.data.tobytes() == saved[name].data.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import tape_nodes
 from serann.classifier import (
     DECAY,
     IMPROVED,
@@ -59,6 +60,13 @@ class TestForward:
         np.testing.assert_array_equal(logits.data, np.zeros((5, 4)))
         loss = softmax_cross_entropy(logits, y[:5])
         np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
+
+    def test_loss_tape_has_one_node_per_conv_layer(self, corpus_arrays):
+        # Each conv layer is one node, its bias and ReLU included.
+        x, y = corpus_arrays
+        model = EmotionClassifier(ClassifierConfig.desk(), Rng(0))
+        loss = softmax_cross_entropy(model.forward(Tensor(x[:2, None, :, :])), y[:2])
+        assert tape_nodes(loss) == 35
 
     def test_wrong_shape_rejected(self, desk_model):
         from serann.coremath import ShapeError

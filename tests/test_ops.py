@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import reference_conv2d, reference_conv2d_transpose
 from serann.coremath import (
+    Conv2d,
+    ConvTranspose2d,
+    Rng,
     ShapeError,
     Tensor,
     conv2d,
@@ -10,6 +14,7 @@ from serann.coremath import (
     finite_diff_grad_check,
     mse,
     mul,
+    ops,
     softmax,
     softmax_cross_entropy,
     tensor_sum,
@@ -58,6 +63,10 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="stride"):
             conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), stride=(0, 1))
 
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ShapeError, match="padding"):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), padding=((1, -1), (0, 0)))
+
     def test_asymmetric_padding(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 2, 2)))
@@ -71,6 +80,22 @@ class TestConv2d:
             lambda: scalarize(conv2d(x, k, stride=(2, 2), padding=1)), [x, k]
         )
         assert err < 1e-6
+
+    def test_gradcheck_fused_bias_relu(self):
+        rng = Rng(61)
+        x, k, b = leaf((2, 2, 5, 6), rng), leaf((3, 2, 3, 3), rng), leaf((3,), rng)
+        err = finite_diff_grad_check(
+            lambda: scalarize(conv2d(x, k, (2, 1), ((1, 0), (2, 1)), bias=b, activation="relu")),
+            [x, k, b],
+        )
+        assert err < 1e-4
+
+    def test_bias_shape_and_activation_checked(self):
+        x, k = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(x, k, bias=Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match="activation"):
+            conv2d(x, k, activation="tanh")
 
 
 class TestConvTranspose:
@@ -103,6 +128,13 @@ class TestConvTranspose:
                 stride=(2, 2), padding=0, output_padding=(2, 0),
             )
 
+    def test_negative_padding_rejected(self):
+        x, k = Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="padding"):
+            conv2d_transpose(x, k, padding=-1)
+        with pytest.raises(ShapeError, match="output_padding"):
+            conv2d_transpose(x, k, stride=2, output_padding=(-1, 0))
+
     def test_gradcheck(self, rng):
         x = leaf((1, 3, 4, 5), rng)
         k = leaf((3, 2, 3, 3), rng)
@@ -111,6 +143,167 @@ class TestConvTranspose:
             [x, k],
         )
         assert err < 1e-4
+
+    def test_gradcheck_fused_bias_relu(self):
+        rng = Rng(62)
+        x, k, b = leaf((2, 3, 3, 4), rng), leaf((3, 2, 3, 2), rng), leaf((2,), rng)
+        err = finite_diff_grad_check(
+            lambda: scalarize(
+                conv2d_transpose(x, k, (2, 3), ((1, 0), (0, 2)), (1, 2), bias=b, activation="relu")
+            ),
+            [x, k, b],
+        )
+        assert err < 1e-4
+
+
+# Every convolution layer of the desk classifier and the desk VQ-VAE, plus
+# one asymmetric configuration per op: (C, H, W) input, kernel, stride,
+# per-edge padding and, for the transpose, output_padding.
+CONV_LAYERS = {
+    "classifier.conv1": ((1, 80, 256), (4, 1, 7, 7), (2, 2), ((3, 3), (3, 3))),
+    "classifier.conv2": ((4, 40, 128), (8, 4, 3, 3), (2, 2), ((1, 1), (1, 1))),
+    "vqvae.enc0": ((1, 80, 256), (4, 1, 3, 3), (2, 2), ((1, 1), (1, 1))),
+    "vqvae.enc1": ((4, 40, 128), (8, 4, 3, 3), (2, 2), ((1, 1), (1, 1))),
+    "vqvae.enc2": ((8, 20, 64), (16, 8, 3, 3), (2, 1), ((1, 1), (1, 1))),
+    "vqvae.enc3": ((16, 10, 64), (32, 16, 3, 3), (2, 1), ((1, 1), (1, 1))),
+    "vqvae.enc4": ((32, 5, 64), (64, 32, 3, 3), (5, 1), ((0, 0), (1, 1))),
+    "asymmetric": ((3, 9, 11), (5, 3, 3, 2), (2, 3), ((2, 0), (1, 3))),
+}
+TRANSPOSE_LAYERS = {
+    "vqvae.dec0": ((64, 1, 64), (64, 32, 3, 3), (5, 1), ((0, 0), (1, 1)), (2, 0)),
+    "vqvae.dec1": ((32, 5, 64), (32, 16, 3, 3), (2, 1), ((1, 1), (1, 1)), (1, 0)),
+    "vqvae.dec2": ((16, 10, 64), (16, 8, 3, 3), (2, 1), ((1, 1), (1, 1)), (1, 0)),
+    "vqvae.dec3": ((8, 20, 64), (8, 4, 3, 3), (2, 2), ((1, 1), (1, 1)), (1, 1)),
+    "vqvae.dec4": ((4, 40, 128), (4, 1, 3, 3), (2, 2), ((1, 1), (1, 1)), (1, 1)),
+    "asymmetric": ((5, 4, 5), (5, 3, 2, 3), (3, 2), ((2, 0), (0, 1)), (2, 1)),
+}
+
+
+def conv_case(name, transpose):
+    """(input shape without batch, kernel shape, bias width, column elements
+    per sample of the scattered products, op, reference) for one layer; op
+    and reference take (x, kernels, bias, activation)."""
+    if transpose:
+        shape, kernel, stride, padding, output_padding = TRANSPOSE_LAYERS[name]
+        positions = shape[1] * shape[2]
+        op, ref, args = conv2d_transpose, reference_conv2d_transpose, (stride, padding, output_padding)
+    else:
+        shape, kernel, stride, padding = CONV_LAYERS[name]
+        oh = (shape[1] + sum(padding[0]) - kernel[2]) // stride[0] + 1
+        ow = (shape[2] + sum(padding[1]) - kernel[3]) // stride[1] + 1
+        positions = oh * ow
+        op, ref, args = conv2d, reference_conv2d, (stride, padding)
+    return (
+        shape, kernel, kernel[1] if transpose else kernel[0],
+        kernel[1] * kernel[2] * kernel[3] * positions,
+        lambda x, k, b, act: op(x, k, *args, bias=b, activation=act),
+        lambda x, k, b, act: ref(x, k, *args, bias=b, activation=act),
+    )
+
+
+def forward_backward(fn, x_shape, kernel, channels, dtype, activation, x_grad):
+    """Output and the x, kernels and bias gradients of a weighted sum of
+    ``fn``'s output, from fixed draws; no bias when ``channels`` is None."""
+    gen = np.random.default_rng(17)
+    x = Tensor(gen.normal(size=x_shape).astype(dtype), requires_grad=x_grad)
+    k = Tensor(gen.normal(0, 0.5, kernel).astype(dtype), requires_grad=True)
+    b = None if channels is None else Tensor(gen.normal(0, 0.5, channels).astype(dtype), requires_grad=True)
+    out = fn(x, k, b, activation)
+    tensor_sum(mul(out, Tensor(gen.normal(size=out.shape).astype(dtype)))).backward()
+    return [out.data, x.grad, k.grad, None if b is None else b.grad]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), f"max difference {np.abs(a - b).max()}"
+
+
+class TestConvMatchesReference:
+    """The fused ops against the unchunked im2col lowering with a
+    ``tensordot`` kernel gradient and separate bias and ReLU nodes: every
+    output and gradient bit equal, at batch sizes 1, one chunk and one chunk
+    plus one."""
+
+    @pytest.mark.parametrize(
+        "transpose, name",
+        [(False, name) for name in CONV_LAYERS] + [(True, name) for name in TRANSPOSE_LAYERS],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal(self, monkeypatch, transpose, name, dtype):
+        shape, kernel, channels, per_sample, op, reference = conv_case(name, transpose)
+        # Chunks of three samples keep the batches small; chunking is by
+        # whole samples, so the chunk size does not change any bit.
+        monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", 3 * per_sample)
+        for batch in (1, 3, 4):
+            for activation in (None, "relu"):
+                for x_grad in (False, True):
+                    case = ((batch,) + shape, kernel, channels, dtype, activation, x_grad)
+                    assert_same_bits(forward_backward(op, *case), forward_backward(reference, *case))
+
+    @pytest.mark.parametrize("transpose, name", [(False, "classifier.conv1"), (True, "vqvae.dec4")])
+    def test_bitwise_equal_at_the_module_chunk_size(self, transpose, name):
+        shape, kernel, channels, per_sample, op, reference = conv_case(name, transpose)
+        chunk = ops._CHUNK_ELEMENTS // per_sample
+        for batch in (chunk, chunk + 1):
+            case = ((batch,) + shape, kernel, channels, np.float32, "relu", True)
+            assert_same_bits(forward_backward(op, *case), forward_backward(reference, *case))
+
+    @pytest.mark.parametrize("transpose, name", [(False, "classifier.conv2"), (True, "vqvae.dec3")])
+    def test_scattered_products_come_a_chunk_of_samples_at_a_time(self, monkeypatch, transpose, name):
+        shape, kernel, _, per_sample, op, _ = conv_case(name, transpose)
+        monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", 3 * per_sample)
+        ckk = kernel[1] * kernel[2] * kernel[3]
+        chunks = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b):
+            out = matmul(a, b)
+            if out.shape[1] == ckk:  # a (samples, C*kh*kw, positions) product
+                chunks.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        x = Tensor(np.ones((7,) + shape), requires_grad=True)
+        tensor_sum(op(x, Tensor(np.ones(kernel), requires_grad=True), None, None)).backward()
+        assert chunks == [3, 3, 1]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bitwise_equal_without_bias(self, transpose):
+        shape, kernel, _, _, op, reference = conv_case("asymmetric", transpose)
+        case = ((3,) + shape, kernel, None, np.float64, "relu", True)
+        assert_same_bits(forward_backward(op, *case), forward_backward(reference, *case))
+
+
+class TestConvLayers:
+    @pytest.mark.parametrize("activation", [None, "relu"])
+    def test_layers_apply_their_bias_and_activation(self, activation):
+        rng = Rng(64)
+        x = Tensor(rng.normal(0, 1, (2, 3, 8, 6), np.float32))
+        conv = Conv2d(3, 4, 3, (2, 1), 1, rng, activation=activation)
+        up = ConvTranspose2d(4, 3, 3, (2, 1), 1, (1, 0), rng, activation=activation)
+        conv.bias.data = rng.normal(0, 1, 4, np.float32)
+        up.bias.data = rng.normal(0, 1, 3, np.float32)
+        mid = reference_conv2d(x, conv.kernels, (2, 1), ((1, 1), (1, 1)), conv.bias, activation)
+        back = reference_conv2d_transpose(mid, up.kernels, (2, 1), ((1, 1), (1, 1)), (1, 0), up.bias, activation)
+        assert conv(x).data.tobytes() == mid.data.tobytes()
+        assert up(mid).data.tobytes() == back.data.tobytes()
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_each_call_adds_one_tape_node(self, taped_tensors, x_grad):
+        rng = Rng(63)
+        x = Tensor(rng.normal(0, 1, (2, 3, 8, 6)), requires_grad=x_grad)
+        conv = Conv2d(3, 4, 3, (2, 1), 1, rng)
+        up = ConvTranspose2d(4, 3, 3, (2, 1), 1, (1, 0), rng, activation=None)
+        taped_tensors.clear()
+        out = conv(x)
+        assert len(taped_tensors) == 1 and taped_tensors[0] is out
+        taped_tensors.clear()
+        back = up(out)
+        assert len(taped_tensors) == 1 and taped_tensors[0] is back
 
 
 class TestDense:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import tape_nodes
 from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
     Adam,
@@ -58,17 +59,6 @@ def reference_bilstm(x, fwd, bwd):
 
     t = x.shape[1]
     return np.concatenate([run(fwd, range(t)), run(bwd, reversed(range(t)))], axis=2)
-
-
-def tape_nodes(root):
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
 
 
 class TestBiLstm:

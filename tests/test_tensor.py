@@ -165,11 +165,14 @@ def every_op(rng):
     img, kern, tkern = leaf((2, 1, 6, 5), rng), leaf((3, 1, 3, 3), rng), leaf((3, 2, 3, 3), rng)
     seq = leaf((2, 3, 4), rng)
     lstm = LstmParams(leaf((4, 8), rng), leaf((2, 8), rng), leaf((8,), rng))
+    conv_bias = leaf((3,), rng)
     return lambda: [
         add(a, a), mul(a, a), neg(a), relu(a), tensor_sum(a), tensor_mean(a, axis=0),
         reshape(a, (4, 3)), transpose(a, (1, 0)), matmul(a, b), softmax(a),
         straight_through(a, a.data * 2), gather_rows(a, np.array([2, 0, 2])),
         conv2d(img, kern, padding=1), conv2d_transpose(conv2d(img, kern), tkern, stride=2),
+        conv2d(img, kern, 1, 1, conv_bias, "relu"),
+        conv2d_transpose(conv2d(img, kern), tkern, 2, 0, 1, bias, "relu"),
         dense(a, b, bias, "relu"), softmax_cross_entropy(a, np.array([0, 1, 3])), mse(a, neg(a)),
         bilstm(seq, lstm, lstm),
     ]

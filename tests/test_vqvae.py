@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_codes
+from conftest import brute_force_codes, tape_nodes
 from serann import vqvae
 from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mul, tensor_sum
 from serann.synthetic import two_pattern_mels
@@ -218,6 +218,14 @@ class TestQuantize:
         )
         assert flat.shape == (GRID_POSITIONS, desk_model.config.code_dim)
 
+    def test_random_initialisation_rejects_identical_rows(self, monkeypatch):
+        def constant(self, low, high, shape=None, dtype=np.float32):
+            return np.full(shape, high, dtype)
+
+        monkeypatch.setattr(Rng, "uniform", constant)
+        with pytest.raises(CodebookError, match="identical rows"):
+            VqVae(VqVaeConfig.desk(), Rng(0))
+
     def test_empty_codebook_rejected(self):
         with pytest.raises(CodebookError):
             nearest_codes(np.zeros((1, 2)), np.zeros((0, 2)))
@@ -285,6 +293,21 @@ class TestTraining:
         assert st_node.grad is not None
         assert z_e.grad.tobytes() == st_node.grad.tobytes()
         assert model.codebook.grad is None  # reconstruction path skips the codebook
+
+    def test_step_tape_has_one_node_per_conv_layer(self, monkeypatch):
+        # Each of the ten conv layers is one node, its bias and ReLU included.
+        sizes = []
+        backward = Tensor.backward
+
+        def counting_backward(self):
+            sizes.append(tape_nodes(self))
+            backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        model = VqVae(VqVaeConfig.desk(), Rng(6))
+        mels, _ = two_pattern_mels(1, Rng(5))
+        train_step(model, mels[:2, None, :, :], Adam(model.params(), 1e-3))
+        assert sizes == [53]
 
     def test_short_training_reduces_loss(self):
         mels, _ = two_pattern_mels(4, Rng(5))
