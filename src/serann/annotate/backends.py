@@ -173,9 +173,9 @@ class MockBackend:
         return self._reply(request)
 
 
-def _last_transcript(user_text: str) -> str:
+def _last_transcript(user: str) -> str:
     line = ""
-    for candidate in user_text.splitlines():
+    for candidate in user.splitlines():
         if candidate.startswith("Transcript:"):
             line = candidate
     return line.partition(":")[2].strip().strip('"')
@@ -186,7 +186,6 @@ def mock_backend(
     gold_by_id: Mapping[str, str] | None = None,
     seed: int = 0,
     label: str | None = None,
-    lexicon: Mapping[str, tuple[str, ...]] | None = None,
 ) -> MockBackend:
     """Build a mock: ``oracle`` echoes gold labels (requires a gold map),
     ``random`` hashes (seed, prompt) to a uniform label, ``fixed`` always
@@ -220,12 +219,10 @@ def mock_backend(
         return MockBackend(f"fixed-{label}", lambda request: label)
 
     if policy == "keyword":
-        table = lexicon or KEYWORD_LEXICON
-
         def reply(request: CompletionRequest) -> str:
             transcript = _last_transcript(request.user).lower()
             for emotion in LABELS:
-                for keyword in table.get(emotion, ()):
+                for keyword in KEYWORD_LEXICON.get(emotion, ()):
                     if keyword in transcript:
                         return emotion
             return "neutral"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
@@ -76,40 +76,22 @@ class PromptContextError(ValueError):
     """A required feature for the chosen variant is missing; names the field."""
 
 
-@dataclass(frozen=True)
-class FewShotExample:
-    transcript: str
-    label: str
-    energy: float | None = None
-    pitch_hz: float | None = None
-    gender: str | None = None
-    codes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"few-shot label {self.label!r} not in {LABELS}")
-
-
-def _feature_lines(
+def _record_lines(
+    record: UtteranceRecord,
     variant: ContextVariant,
-    *,
-    energy: float | None,
-    pitch_hz: float | None,
-    gender: str | None,
+    features: UtteranceFeatures | None,
     codes: Sequence[int] | None,
-    owner: str,
+    gender: str,
 ) -> list[str]:
-    lines: list[str] = []
+    """The transcript line plus the context lines ``variant`` asks for."""
+    owner = record.utterance_id
+    lines = [f'Transcript: "{record.transcript}"']
     if variant.needs_features:
-        if energy is None:
+        if features is None:
             raise PromptContextError(f"{owner}: avg_energy required for variant {variant.value}")
-        if pitch_hz is None:
-            raise PromptContextError(f"{owner}: avg_pitch_hz required for variant {variant.value}")
-        lines.append(f"Average energy (0-1 RMS): {energy:.3f}")
-        lines.append(f"Average pitch: {pitch_hz:.0f} Hz")
+        lines.append(f"Average energy (0-1 RMS): {features.avg_energy:.3f}")
+        lines.append(f"Average pitch: {features.avg_pitch_hz:.0f} Hz")
     if variant.needs_gender:
-        if gender is None:
-            raise PromptContextError(f"{owner}: gender required for variant {variant.value}")
         lines.append(f"Speaker gender: {gender}")
     if variant.needs_codes:
         if codes is None:
@@ -125,74 +107,67 @@ def _feature_lines(
 @dataclass(frozen=True)
 class PromptSpec:
     system: str
-    variant: ContextVariant
-    few_shot: tuple[FewShotExample, ...]
-    target_block: str
-    template_version: str = TEMPLATE_VERSION
-
-    def user_text(self) -> str:
-        parts: list[str] = []
-        if self.few_shot:
-            parts.append("Examples:")
-            for example in self.few_shot:
-                lines = [f'Transcript: "{example.transcript}"']
-                lines += _feature_lines(
-                    self.variant,
-                    energy=example.energy,
-                    pitch_hz=example.pitch_hz,
-                    gender=example.gender,
-                    codes=example.codes,
-                    owner="few-shot example",
-                )
-                lines.append(f"Label: {example.label}")
-                parts.append("\n".join(lines))
-            parts.append("---")
-        parts.append("Now classify this utterance.")
-        parts.append(self.target_block)
-        parts.append("Label:")
-        return "\n\n".join(parts)
+    user: str
 
     def prompt_text(self) -> str:
-        return f"[{self.template_version}]\n{self.system}\n\n{self.user_text()}"
+        return f"[{TEMPLATE_VERSION}]\n{self.system}\n\n{self.user}"
 
     def prompt_hash(self) -> str:
         return hashlib.sha256(self.prompt_text().encode("utf-8")).hexdigest()
 
 
+def few_shot_block(
+    records: Sequence[UtteranceRecord],
+    variant: ContextVariant,
+    features_by_id: Mapping[str, UtteranceFeatures] | None = None,
+    codes_by_id: Mapping[str, Sequence[int]] | None = None,
+) -> str:
+    """Render the exemplar section shared by every prompt of one few-shot
+    run: each exemplar's lines as a target's would read, then its gold
+    label. An exemplar states the manifest's speaker gender."""
+    if len(records) != FEW_SHOT_COUNT:
+        raise ValueError(
+            f"few-shot block must contain {FEW_SHOT_COUNT} examples, got {len(records)}"
+        )
+    features_by_id = features_by_id or {}
+    codes_by_id = codes_by_id or {}
+    parts = ["Examples:"]
+    for record in records:
+        if record.gold_label not in LABELS:
+            raise ValueError(f"few-shot label {record.gold_label!r} not in {LABELS}")
+        lines = _record_lines(
+            record,
+            variant,
+            features_by_id.get(record.utterance_id),
+            codes_by_id.get(record.utterance_id),
+            record.gender,
+        )
+        lines.append(f"Label: {record.gold_label}")
+        parts.append("\n".join(lines))
+    parts.append("---")
+    return "\n\n".join(parts)
+
+
 def build_prompt(
     record: UtteranceRecord,
     variant: ContextVariant,
-    few_shot: Sequence[FewShotExample] = (),
+    few_shot: str = "",
     features: UtteranceFeatures | None = None,
     codes: Sequence[int] | None = None,
 ) -> PromptSpec:
-    """Assemble the prompt for one utterance.
+    """Assemble the prompt for one utterance after the rendered
+    ``few_shot`` block (empty for zero-shot).
 
     The target block is built only from the transcript and the supplied
-    context; the record's labels are never serialized into it.
+    context; the record's labels are never serialized into it. It states
+    the features' speaker gender unless that is "unknown", and then the
+    manifest's.
     """
-    few_shot = tuple(few_shot)
-    if len(few_shot) not in (0, FEW_SHOT_COUNT):
-        raise ValueError(
-            f"few-shot block must contain 0 or {FEW_SHOT_COUNT} examples, got {len(few_shot)}"
-        )
-    lines = [f'Transcript: "{record.transcript}"']
-    lines += _feature_lines(
-        variant,
-        energy=features.avg_energy if features else None,
-        pitch_hz=features.avg_pitch_hz if features else None,
-        gender=(features.gender if features and features.gender != "unknown" else record.gender)
-        if variant.needs_gender
-        else None,
-        codes=codes,
-        owner=record.utterance_id,
-    )
-    return PromptSpec(
-        system=SYSTEM_PREAMBLE,
-        variant=variant,
-        few_shot=few_shot,
-        target_block="\n".join(lines),
-    )
+    gender = features.gender if features and features.gender != "unknown" else record.gender
+    target = "\n".join(_record_lines(record, variant, features, codes, gender))
+    parts = [few_shot] if few_shot else []
+    parts += ["Now classify this utterance.", target, "Label:"]
+    return PromptSpec(system=SYSTEM_PREAMBLE, user="\n\n".join(parts))
 
 
 def parse_label(raw_response: str) -> str:
@@ -222,14 +197,13 @@ def parse_label(raw_response: str) -> str:
 
 def select_few_shot(
     records: Sequence[UtteranceRecord],
-    k: int = FEW_SHOT_COUNT,
-    rng: Rng | None = None,
-    seed: int = 0,
+    rng: Rng,
     balanced: bool = False,
 ) -> list[UtteranceRecord]:
-    """Draw ``k`` gold-labeled exemplars without replacement, uniformly by
-    default; ``balanced`` draws k / n_classes per class instead."""
-    rng = rng if rng is not None else Rng(seed)
+    """Draw ``FEW_SHOT_COUNT`` gold-labeled exemplars without replacement,
+    uniformly by default; ``balanced`` draws an equal share per class
+    instead."""
+    k = FEW_SHOT_COUNT
     pool = [r for r in records if r.gold_label in LABELS]
     if len(pool) < k:
         raise ValueError(f"few-shot pool has {len(pool)} labeled records; {k} required")
@@ -248,41 +222,3 @@ def select_few_shot(
         chosen.extend(members[j] for j in sorted(picks))
     return chosen
 
-
-def to_few_shot_examples(
-    records: Sequence[UtteranceRecord],
-    variant: ContextVariant,
-    features_by_id: dict[str, UtteranceFeatures] | None = None,
-    codes_by_id: dict[str, Sequence[int]] | None = None,
-) -> list[FewShotExample]:
-    """Attach per-variant context to exemplar records, mirroring the target
-    block's fields."""
-    examples: list[FewShotExample] = []
-    for record in records:
-        energy = pitch = None
-        codes: tuple[int, ...] | None = None
-        if variant.needs_features:
-            feats = (features_by_id or {}).get(record.utterance_id)
-            if feats is None:
-                raise PromptContextError(
-                    f"{record.utterance_id}: features required for variant {variant.value}"
-                )
-            energy, pitch = feats.avg_energy, feats.avg_pitch_hz
-        if variant.needs_codes:
-            raw = (codes_by_id or {}).get(record.utterance_id)
-            if raw is None:
-                raise PromptContextError(
-                    f"{record.utterance_id}: audio codes required for variant {variant.value}"
-                )
-            codes = tuple(int(c) for c in raw)
-        examples.append(
-            FewShotExample(
-                transcript=record.transcript,
-                label=record.gold_label,
-                energy=energy,
-                pitch_hz=pitch,
-                gender=record.gender if variant.needs_gender else None,
-                codes=codes,
-            )
-        )
-    return examples

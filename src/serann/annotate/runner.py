@@ -1,9 +1,14 @@
-"""Annotation driver: prompt -> cache lookup -> backend -> parsed label.
+"""Annotation driver: prompts -> cache lookup -> backend -> parsed labels.
 
-The cache is an append-only JSONL store keyed by the backend id and the
-prompt's cryptographic hash, so reruns skip every prompt the same backend
-already answered and an interrupted run resumes where it stopped. Results
-merge deterministically in manifest order regardless of request concurrency.
+A run renders every record's prompt once, groups the records by prompt
+hash and asks the backend once per distinct prompt that the cache cannot
+answer, in order of first occurrence; ``concurrency`` asks distinct prompts
+in parallel. Records that share a prompt take its answer, so the number of
+backend calls, the cache hit counts and the results do not depend on
+concurrency. The cache is an append-only JSONL store keyed by the backend
+id and the prompt's cryptographic hash, so reruns skip every prompt the
+same backend already answered and an interrupted run resumes where it
+stopped. Results merge in manifest order.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,13 +26,13 @@ from ..dsp import UtteranceFeatures
 from ..fileio import read_jsonl, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
+    TEMPLATE_VERSION,
     ContextVariant,
-    FewShotExample,
     PromptSpec,
     build_prompt,
+    few_shot_block,
     parse_label,
     select_few_shot,
-    to_few_shot_examples,
 )
 
 
@@ -58,10 +62,9 @@ class AnnotationResult:
 class AnnotationCache:
     """Append-only JSONL keyed by (backend id, prompt hash), so a shared
     file never answers one backend with another's replies. Lookups and
-    appends are serialized, so concurrent annotators can share one instance;
-    ``claim`` lets them ask the backend each prompt only once. Appends go
-    through one handle, opened on the first ``put`` and flushed after every
-    record; ``close`` (or leaving a ``with`` block) releases it.
+    appends are serialized, so concurrent annotators can share one instance.
+    Appends go through one handle, opened on the first ``put`` and flushed
+    after every record; ``close`` (or leaving a ``with`` block) releases it.
 
     A final line cut short by an interrupted append is dropped on load (and
     counted in ``dropped``); the file is truncated back to its last complete
@@ -73,7 +76,6 @@ class AnnotationCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], dict] = {}
-        self._claims: dict[tuple[str, str], threading.Event] = {}
         self._handle = None
         self.dropped = 0
         if self.path.exists():
@@ -99,25 +101,6 @@ class AnnotationCache:
                 self._handle = self.path.open("a", encoding="utf-8")
             self._handle.write(json.dumps(record, sort_keys=True) + "\n")
             self._handle.flush()
-
-    @contextmanager
-    def claim(self, prompt_hash: str, backend_id: str):
-        """Hold the sole right to answer one key. A second claimant of the
-        same key waits until the holder leaves, then checks the cache."""
-        key = (backend_id, prompt_hash)
-        while True:
-            with self._lock:
-                holder = self._claims.get(key)
-                if holder is None:
-                    mine = self._claims[key] = threading.Event()
-                    break
-            holder.wait()
-        try:
-            yield
-        finally:
-            with self._lock:
-                del self._claims[key]
-            mine.set()
 
     def close(self) -> None:
         with self._lock:
@@ -148,41 +131,10 @@ def _drop_torn_tail(path: Path) -> int:
         return 0
 
 
-def annotate(
-    record: UtteranceRecord,
-    variant: ContextVariant,
-    backend: Backend,
-    cache: AnnotationCache | None = None,
-    few_shot: Sequence[FewShotExample] = (),
-    features: UtteranceFeatures | None = None,
-    codes: Sequence[int] | None = None,
-) -> tuple[AnnotationResult, bool]:
-    """Annotate one utterance; returns (result, served_from_cache)."""
-    spec = build_prompt(record, variant, few_shot, features, codes)
-    prompt_hash = spec.prompt_hash()
-    if cache is None:
-        return _complete(record, spec, prompt_hash, backend), False
-    hit = cache.get(prompt_hash, backend.backend_id)
-    if hit is None:
-        # A concurrent worker may be asking the backend this very prompt:
-        # wait for its answer instead of paying for a second call.
-        with cache.claim(prompt_hash, backend.backend_id):
-            hit = cache.get(prompt_hash, backend.backend_id)
-            if hit is None:
-                result = _complete(record, spec, prompt_hash, backend)
-                cache.put(result.to_json())
-                return result, False
-    # Utterances with identical context share a prompt, so a hit may have
-    # been recorded under another utterance id.
-    return AnnotationResult(**{**hit, "utterance_id": record.utterance_id}), True
-
-
 def _complete(
     record: UtteranceRecord, spec: PromptSpec, prompt_hash: str, backend: Backend
 ) -> AnnotationResult:
-    request = CompletionRequest(
-        system=spec.system, user=spec.user_text(), utterance_id=record.utterance_id
-    )
+    request = CompletionRequest(spec.system, spec.user, record.utterance_id)
     try:
         raw = backend.complete(request)
     except BackendError as exc:
@@ -195,7 +147,7 @@ def _complete(
         raw_response=raw,
         backend_id=backend.backend_id,
         prompt_hash=prompt_hash,
-        template_version=spec.template_version,
+        template_version=TEMPLATE_VERSION,
     )
 
 
@@ -241,8 +193,11 @@ def annotate_corpus(
     failure_budget: int = 0,
     concurrency: int = 1,
 ) -> tuple[list[AnnotationResult], AnnotationSummary]:
-    """Annotate every record; per-record backend failures are tolerated up to
-    ``failure_budget`` and reported in the summary."""
+    """Annotate every record, asking the backend once per distinct prompt.
+
+    A backend failure fails every record that shares the prompt; failed
+    records are tolerated up to ``failure_budget`` and reported in the
+    summary."""
     if shots not in ("zero", "few"):
         raise ValueError(f"shots must be 'zero' or 'few', got {shots!r}")
     features_by_id = dict(features_by_id or {})
@@ -257,49 +212,69 @@ def annotate_corpus(
                 f"{what} missing for {len(missing)} records (first: {missing[0]!r})"
             )
 
-    few_shot: tuple[FewShotExample, ...] = ()
+    few_shot = ""
     if shots == "few":
         pool = few_shot_pool if few_shot_pool is not None else records
-        chosen = select_few_shot(pool, rng=Rng(seed).spawn("few-shot"), balanced=balanced_few_shot)
-        few_shot = tuple(to_few_shot_examples(chosen, variant, features_by_id, codes_by_id))
+        chosen = select_few_shot(pool, Rng(seed).spawn("few-shot"), balanced_few_shot)
+        few_shot = few_shot_block(chosen, variant, features_by_id, codes_by_id)
+    specs = [
+        build_prompt(
+            record,
+            variant,
+            few_shot,
+            features_by_id.get(record.utterance_id),
+            codes_by_id.get(record.utterance_id),
+        )
+        for record in records
+    ]
+    hashes = [spec.prompt_hash() for spec in specs]
 
-    def work(record: UtteranceRecord):
+    # The first record with each prompt asks for it, unless the cache
+    # answers; every other record with that prompt shares the answer.
+    first: dict[str, int] = {}
+    for i, prompt_hash in enumerate(hashes):
+        first.setdefault(prompt_hash, i)
+    answers: dict[str, AnnotationResult | str] = {}
+    if cache is not None:
+        for prompt_hash in first:
+            hit = cache.get(prompt_hash, backend.backend_id)
+            if hit is not None:
+                answers[prompt_hash] = AnnotationResult(**hit)
+    askers = [i for prompt_hash, i in first.items() if prompt_hash not in answers]
+
+    def ask(i: int) -> AnnotationResult | str:
         try:
-            result, hit = annotate(
-                record,
-                variant,
-                backend,
-                cache,
-                few_shot,
-                features_by_id.get(record.utterance_id),
-                codes_by_id.get(record.utterance_id),
-            )
+            result = _complete(records[i], specs[i], hashes[i], backend)
         except BackendError as exc:
-            return record, None, False, str(exc)
-        return record, result, hit, None
+            return str(exc)
+        if cache is not None:
+            cache.put(result.to_json())
+        return result
 
     if concurrency <= 1:
-        outcomes = [work(record) for record in records]
+        outcomes = [ask(i) for i in askers]
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool_exec:
-            outcomes = list(pool_exec.map(work, records))
+            outcomes = list(pool_exec.map(ask, askers))
+    answers.update(zip((hashes[i] for i in askers), outcomes))
+    asked = set(askers)
 
     results: list[AnnotationResult] = []
     failures: list[dict] = []
     counts: dict[str, int] = {}
     unparseable = 0
     hits = 0
-    for record, result, hit, error in outcomes:
-        if error is not None:
-            failures.append({"utterance_id": record.utterance_id, "error": error})
+    for i, record in enumerate(records):
+        answer = answers[hashes[i]]
+        if isinstance(answer, str):
+            failures.append({"utterance_id": record.utterance_id, "error": answer})
             continue
-        assert result is not None
-        results.append(result)
-        hits += int(hit)
-        if result.label == UNPARSEABLE:
+        results.append(replace(answer, utterance_id=record.utterance_id))
+        hits += i not in asked
+        if answer.label == UNPARSEABLE:
             unparseable += 1
         else:
-            counts[result.label] = counts.get(result.label, 0) + 1
+            counts[answer.label] = counts.get(answer.label, 0) + 1
     if len(failures) > failure_budget:
         detail = "; ".join(f"{f['utterance_id']}: {f['error']}" for f in failures[:5])
         raise AnnotationRunError(

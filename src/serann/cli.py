@@ -97,7 +97,8 @@ def cmd_features(manifest_path, features_out, mels_out):
 @click.option("--out", "checkpoint_out", required=True, type=click.Path())
 @click.option("--history-out", type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--epochs", type=int, default=None, help="Override configured epoch count.")
+@click.option("--epochs", type=click.IntRange(min=1), default=None,
+              help="Override configured epoch count.")
 @click.option("--desk-scale", is_flag=True, help="Use the CI-sized model profile.")
 @click.option("--config", "config_path", type=click.Path(exists=True))
 def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed, epochs, desk_scale, config_path):
@@ -146,18 +147,14 @@ def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
 
 def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout, max_retries, temperature, records, seed):
     if backend_spec.startswith("mock:"):
-        parts = backend_spec.split(":")
-        policy = parts[1]
+        policy, _, label = backend_spec[len("mock:"):].partition(":")
+        gold = None
         if policy == "oracle":
             gold = {r.utterance_id: r.gold_label for r in records if r.gold_label}
-            return ann.mock_backend("oracle", gold_by_id=gold)
-        if policy == "fixed":
-            if len(parts) < 3:
-                _fail("fixed mock needs a label, e.g. mock:fixed:sad")
-            return ann.mock_backend("fixed", label=parts[2])
-        if policy in ("random", "keyword"):
-            return ann.mock_backend(policy, seed=seed)
-        _fail(f"unknown mock policy {policy!r}")
+        try:
+            return ann.mock_backend(policy, gold_by_id=gold, seed=seed, label=label or None)
+        except ValueError as exc:
+            _fail(str(exc))
     if backend_spec == "http":
         if not endpoint or not model_name:
             _fail("http backend requires --endpoint and --model")
@@ -192,7 +189,9 @@ def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout
 @click.option("--out", "annotations_out", required=True, type=click.Path())
 @click.option("--cache", "cache_path", type=click.Path(), help="Defaults to <out>.cache.jsonl")
 @click.option("--failure-budget", default=0, show_default=True)
-@click.option("--concurrency", default=1, show_default=True)
+@click.option("--concurrency", default=1, show_default=True,
+              help="Distinct prompts asked in parallel. A run asks the backend once per "
+                   "distinct prompt whatever this is, and reports the same cache hits.")
 @click.option("--endpoint", help="Chat-completion URL for the http backend.")
 @click.option("--model", "model_name", help="Model name for the http backend.")
 @click.option("--api-key-env", default="SERANN_API_KEY", show_default=True)
@@ -225,9 +224,8 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
         if few_shot_codes:
             codes_by_id = {**vqvae.load_codes(few_shot_codes), **codes_by_id}
 
-    oracle_pool = pool if backend_spec == "mock:oracle" else records
     backend = _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm,
-                             timeout, max_retries, temperature, records + list(oracle_pool), seed)
+                             timeout, max_retries, temperature, records, seed)
     try:
         cache = ann.AnnotationCache(cache_path or f"{annotations_out}.cache.jsonl")
     except ValueError as exc:

@@ -24,17 +24,15 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible; the message names the offending axes."""
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if not np.issubdtype(arr.dtype, np.floating):
         return arr.astype(np.float32)
     return arr
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(
         self,
@@ -42,15 +40,12 @@ class Tensor:
         requires_grad: bool = False,
         parents: tuple = (),
         backprop: Callable[[np.ndarray], None] | None = None,
-        name: str | None = None,
-        dtype=None,
     ):
-        self.data = _as_array(data, dtype)
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents
         self._backprop = backprop
-        self.name = name
 
     # -- introspection -------------------------------------------------
 
@@ -71,8 +66,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])

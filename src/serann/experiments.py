@@ -87,12 +87,11 @@ def run_fold(
     seed: int,
     fold_index: int = 0,
     artifacts_dir=None,
-    tag: str | None = None,
 ) -> float:
     """Train on one fold and return the test UAR against gold labels.
 
     With ``artifacts_dir`` set, the best checkpoint and the epoch history are
-    written there under ``tag``."""
+    written there as ``<fold>_seed<seed>``."""
     if fold.val_ids:
         train_ids, val_ids = fold.train_ids, fold.val_ids
     else:
@@ -108,7 +107,7 @@ def run_fold(
     if artifacts_dir is not None:
         base = Path(artifacts_dir)
         base.mkdir(parents=True, exist_ok=True)
-        tag = tag or f"{fold.name}_seed{seed}"
+        tag = f"{fold.name}_seed{seed}"
         history_path = base / f"{tag}.history.jsonl"
     train(model, train_set.x, train_set.y, val_set.x, val_set.y, seed=seed,
           history_path=history_path)

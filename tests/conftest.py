@@ -160,8 +160,8 @@ def taped_tensors(monkeypatch):
     taped = []
     init = Tensor.__init__
 
-    def recording_init(self, data, requires_grad=False, parents=(), backprop=None, name=None, dtype=None):
-        init(self, data, requires_grad, parents, backprop, name, dtype)
+    def recording_init(self, data, requires_grad=False, parents=(), backprop=None):
+        init(self, data, requires_grad, parents, backprop)
         if parents or backprop is not None:
             taped.append(self)
 

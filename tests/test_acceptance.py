@@ -20,9 +20,9 @@ from serann.annotate import (
     ContextVariant,
     annotate_corpus,
     build_prompt,
+    few_shot_block,
     mock_backend,
     select_few_shot,
-    to_few_shot_examples,
 )
 from serann.classifier import (
     DECAY,
@@ -500,15 +500,15 @@ class TestC09EndToEnd:
         pool = corpus_records[:12]
         chosen = select_few_shot(pool, rng=Rng(97))
         variant = ContextVariant.TEXT_ENERGY_F0_GENDER_CODES
-        examples = to_few_shot_examples(chosen, variant, corpus_features, codes_by_id)
+        block = few_shot_block(chosen, variant, corpus_features, codes_by_id)
         target = corpus_records[0]
         spec = build_prompt(
-            target, variant, few_shot=examples,
+            target, variant, few_shot=block,
             features=corpus_features[target.utterance_id],
             codes=codes_by_id[target.utterance_id],
         )
-        assert len(spec.few_shot) == 10
-        user = spec.user_text()
+        assert block.count("Transcript:") == 10
+        user = spec.user
         assert user.count("Label:") == 11  # ten exemplars and the target stub
         code_lines = [l for l in user.splitlines() if l.startswith("Audio codes:")]
         assert len(code_lines) == 11

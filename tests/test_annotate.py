@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import time
@@ -15,19 +16,17 @@ from serann.annotate import (
     ChatCompletionBackend,
     CompletionRequest,
     ContextVariant,
-    FewShotExample,
     MissingContextFileError,
     PromptContextError,
     RequestTimeoutError,
     RetriesExhaustedError,
-    annotate,
     annotate_corpus,
     build_prompt,
+    few_shot_block,
     load_annotations,
     mock_backend,
     parse_label,
     select_few_shot,
-    to_few_shot_examples,
     write_annotations,
 )
 from serann.corpus import LABELS, UNPARSEABLE, UtteranceRecord
@@ -119,7 +118,7 @@ class TestBuildPrompt:
     def test_text_only_zero_shot(self):
         record = make_record("u1", transcript="please close the door")
         spec = build_prompt(record, TEXT)
-        user = spec.user_text()
+        user = spec.user
         assert 'Transcript: "please close the door"' in user
         assert "Average energy" not in user
         assert "Audio codes" not in user
@@ -127,15 +126,14 @@ class TestBuildPrompt:
         assert "angry, happy, neutral, sad" in spec.system
 
     def test_few_shot_has_exactly_ten_blocks(self, pool):
-        examples = to_few_shot_examples(pool[:10], TEXT)
-        spec = build_prompt(make_record("t"), TEXT, few_shot=examples)
-        assert spec.user_text().count("Label:") == 11  # 10 exemplars + target stub
-        assert len(spec.few_shot) == 10
+        block = few_shot_block(pool[:10], TEXT)
+        spec = build_prompt(make_record("t"), TEXT, few_shot=block)
+        assert spec.user.count("Label:") == 11  # 10 exemplars + target stub
+        assert block.count("Transcript:") == 10
 
     def test_partial_few_shot_rejected(self, pool):
-        examples = to_few_shot_examples(pool[:3], TEXT)
-        with pytest.raises(ValueError, match="0 or 10"):
-            build_prompt(make_record("t"), TEXT, few_shot=examples)
+        with pytest.raises(ValueError, match="must contain 10"):
+            few_shot_block(pool[:3], TEXT)
 
     def test_full_variant_has_64_code_tokens(self):
         record = make_record("u1")
@@ -143,7 +141,7 @@ class TestBuildPrompt:
             record, FULL, features=UtteranceFeatures(0.5, 200.0, "female"),
             codes=list(range(64)),
         )
-        user = spec.user_text()
+        user = spec.user
         code_line = next(line for line in user.splitlines() if line.startswith("Audio codes:"))
         assert len(code_line.split()[2:]) == 64
         assert "Average energy (0-1 RMS): 0.500" in user
@@ -163,19 +161,18 @@ class TestBuildPrompt:
 
     def test_gold_label_never_in_target_block(self, pool):
         record = make_record("u1", transcript="the shipment arrives on tuesday", gold="angry")
-        examples = to_few_shot_examples(pool[:10], TEXT)
-        spec = build_prompt(record, TEXT, few_shot=examples)
-        target = spec.user_text().split("Now classify this utterance.")[1]
+        spec = build_prompt(record, TEXT, few_shot=few_shot_block(pool[:10], TEXT))
+        target = spec.user.split("Now classify this utterance.")[1]
         assert "angry" not in target
 
     def test_serialization_is_byte_deterministic(self, pool):
         def build():
-            examples = to_few_shot_examples(
+            block = few_shot_block(
                 select_few_shot(pool, rng=Rng(7)), FULL, features_for(pool), codes_for(pool)
             )
             spec = build_prompt(
                 make_record("t"), FULL,
-                few_shot=examples,
+                few_shot=block,
                 features=UtteranceFeatures(0.123456, 207.3, "male"),
                 codes=list(range(64)),
             )
@@ -184,6 +181,81 @@ class TestBuildPrompt:
         (text_a, hash_a), (text_b, hash_b) = build(), build()
         assert text_a.encode() == text_b.encode()
         assert hash_a == hash_b
+
+
+# SHA-256 of each prompt as template v1 serializes it. The hashes are the
+# cache keys, so a change here orphans every cache written before it.
+PINNED_HASHES = {
+    ("text", "zero"): "ff4b0d1fcc7243ad4acf4ec77c72607f406585dc2de0862ec4da1e9556de999c",
+    ("text", "few"): "e134b422a6506200c1d5670532e4422d896fc45569ca18474034a4070eb0026c",
+    ("text-energy-f0", "zero"): "49acf6bba00b525e7dc6d2c7d90b36f932f3e6b4179f6420a0e79db948d5517d",
+    ("text-energy-f0", "few"): "a9e8216f0180681713753d86441223c6d4d48df922ec14e2393fced53b0388b4",
+    ("text-energy-f0-gender", "zero"):
+        "409700da23e9f41f5aaf9d6b203b37b6a502db0d822af2697028f224f06ca730",
+    ("text-energy-f0-gender", "few"):
+        "2e5dfa4c687b7b0bb291a9eb98b8ba7c14ea867f39397137e3c5a3b70b6141fc",
+    ("text-energy-f0-gender-codes", "zero"):
+        "3b7122d509350574ec78755173c5c9cef863d0ed547dc100cbd1366e61a9bcde",
+    ("text-energy-f0-gender-codes", "few"):
+        "45b4a3a674369d05b5376680829414a0f29f856f661e9d293eaa091e575516ec",
+}
+
+
+class TestPinnedPromptHashes:
+    """Zero-shot: the target's features say gender "unknown", so the prompt
+    states the manifest's. Few-shot: the target's features name a gender
+    other than its manifest's, and so does every exemplar's; the target
+    states its features' gender, each exemplar its manifest's."""
+
+    exemplars = [
+        make_record(f"x{i}", transcript=f"exemplar {i} says the bus is late",
+                    gold=LABELS[i % 4], gender="female" if i % 2 else "male")
+        for i in range(10)
+    ]
+    exemplar_features = {
+        r.utterance_id: UtteranceFeatures(
+            0.05 * i + 0.0125, 110.5 + 17.25 * i, "male" if r.gender == "female" else "female"
+        )
+        for i, r in enumerate(exemplars)
+    }
+    exemplar_codes = {
+        r.utterance_id: [(37 * i + 5 * j) % 512 for j in range(64)]
+        for i, r in enumerate(exemplars)
+    }
+    codes = [(11 * j) % 512 for j in range(64)]
+
+    @pytest.mark.parametrize("variant", list(ContextVariant), ids=lambda v: v.value)
+    def test_zero_shot(self, variant):
+        target = make_record("t0", transcript='she said "no" twice', gold="angry")
+        spec = build_prompt(target, variant,
+                            features=UtteranceFeatures(0.123456, 207.5, "unknown"), codes=self.codes)
+        assert spec.prompt_hash() == PINNED_HASHES[variant.value, "zero"]
+        assert ("Speaker gender: female" in spec.user) == variant.needs_gender
+
+    @pytest.mark.parametrize("variant", list(ContextVariant), ids=lambda v: v.value)
+    def test_few_shot(self, variant):
+        target = make_record("t1", transcript="what a delightful morning", gold="happy")
+        block = few_shot_block(self.exemplars, variant, self.exemplar_features,
+                               self.exemplar_codes)
+        spec = build_prompt(target, variant, block,
+                            features=UtteranceFeatures(0.9995, 94.49, "male"), codes=self.codes)
+        assert spec.prompt_hash() == PINNED_HASHES[variant.value, "few"]
+        if variant.needs_gender:
+            stated = re.findall(r"Speaker gender: (\w+)", spec.user)
+            assert stated == [r.gender for r in self.exemplars] + ["male"]
+
+    def test_through_annotate_corpus(self, pool):
+        """The seeded exemplar draw as well as the rendering."""
+        features = {r.utterance_id: UtteranceFeatures(0.25, 180.0, "unknown" if i % 2 else "male")
+                    for i, r in enumerate(pool)}
+        results, _ = annotate_corpus(
+            pool[:2], FULL, mock_backend("keyword"), shots="few", seed=3,
+            features_by_id=features, codes_by_id=codes_for(pool), few_shot_pool=pool,
+        )
+        assert [r.prompt_hash for r in results] == [
+            "79e8c747c18f0ed5c8ee14eb78c9390f9005b23a52e5d7d1fd981ede4686ed14",
+            "84f39561eaf83ae3a2f3bc5533b32a25059d1ec8a775890aea8d7cf1c06e58b6",
+        ]
 
 
 class TestParseLabel:
@@ -348,10 +420,10 @@ class TestMockBackends:
         backend = mock_backend("keyword")
         record = make_record("u1", transcript="what a delightful morning")
         spec = build_prompt(record, TEXT)
-        req = CompletionRequest(spec.system, spec.user_text(), "u1")
+        req = CompletionRequest(spec.system, spec.user, "u1")
         assert backend.complete(req) == "happy"
         bland = build_prompt(make_record("u2", transcript="nothing notable"), TEXT)
-        assert backend.complete(CompletionRequest(bland.system, bland.user_text(), "u2")) == "neutral"
+        assert backend.complete(CompletionRequest(bland.system, bland.user, "u2")) == "neutral"
 
 
 class TestAnnotateAndCache:
@@ -367,9 +439,9 @@ class TestAnnotateAndCache:
                 return "happy"
 
         record = pool[0]
-        first, hit1 = annotate(record, TEXT, Counting(), cache)
-        second, hit2 = annotate(record, TEXT, Counting(), cache)
-        assert (hit1, hit2) == (False, True)
+        [first], summary1 = annotate_corpus([record], TEXT, Counting(), cache=cache)
+        [second], summary2 = annotate_corpus([record], TEXT, Counting(), cache=cache)
+        assert (summary1.cache_hits, summary2.cache_hits) == (0, 1)
         assert calls["n"] == 1
         assert second.raw_response == first.raw_response
         assert second.label == "happy"
@@ -377,13 +449,13 @@ class TestAnnotateAndCache:
     def test_cache_survives_reload(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_backend("fixed", label="angry")
-        annotate(pool[0], TEXT, backend, AnnotationCache(path))
-        result, hit = annotate(pool[0], TEXT, backend, AnnotationCache(path))
-        assert hit is True
+        annotate_corpus([pool[0]], TEXT, backend, cache=AnnotationCache(path))
+        [result], summary = annotate_corpus([pool[0]], TEXT, backend, cache=AnnotationCache(path))
+        assert summary.cache_hits == 1
         assert result.label == "angry"
 
     def test_mock_echo_parses(self, pool):
-        result, _ = annotate(pool[0], TEXT, mock_backend("fixed", label="neutral"))
+        [result], _ = annotate_corpus([pool[0]], TEXT, mock_backend("fixed", label="neutral"))
         assert result.label == "neutral"
         assert result.prompt_hash
 
@@ -553,7 +625,7 @@ class TestAnnotateCorpus:
         assert [r.utterance_id for r in results] == [r.utterance_id for r in records]
         assert {r.label for r in results} == {"neutral"}
 
-    def test_claims_under_thread_switch_stress(self, tmp_path):
+    def test_one_call_per_prompt_under_thread_switch_stress(self, tmp_path):
         transcripts = [f"prompt number {k}" for k in range(5)]
         records = [make_record(f"r{i:02d}", transcript=transcripts[i % 5]) for i in range(60)]
         calls = []
@@ -576,6 +648,84 @@ class TestAnnotateCorpus:
             sys.setswitchinterval(interval)
         assert len(calls) == len(set(calls)) == 5
         assert summary.cache_hits == 55
+
+    @staticmethod
+    def repeated_prompts(n=24, distinct=6):
+        return [make_record(f"r{i:02d}", transcript=f"prompt number {(i * 7) % distinct}")
+                for i in range(n)]
+
+    def test_concurrency_changes_no_result_hit_or_cache_line(self, tmp_path):
+        records = self.repeated_prompts()
+        runs = {}
+        for workers in (1, 4):
+            path = tmp_path / f"c{workers}.jsonl"
+            with AnnotationCache(path) as cache:
+                # Two prompts answered by an earlier run.
+                annotate_corpus(records[:2], TEXT, mock_backend("random", seed=3), cache=cache)
+                results, summary = annotate_corpus(
+                    records, TEXT, mock_backend("random", seed=3), cache=cache,
+                    concurrency=workers,
+                )
+            runs[workers] = ([r.to_json() for r in results], summary.to_json(),
+                             path.read_text().splitlines())
+        (serial, serial_summary, serial_lines), (parallel, parallel_summary, parallel_lines) = (
+            runs[1], runs[4])
+        assert serial == parallel
+        assert serial_summary == parallel_summary
+        assert serial_summary["cache_hits"] == 24 - 4
+        assert sorted(serial_lines) == sorted(parallel_lines)
+        # Serially, the cache gains prompts in order of first occurrence.
+        firsts = {}
+        for result in serial:
+            firsts.setdefault(result["prompt_hash"], result["utterance_id"])
+        assert [json.loads(line)["utterance_id"] for line in serial_lines] == list(firsts.values())
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_prompt_fails_every_record_sharing_it(self, workers, tmp_path):
+        from serann.annotate import BackendError
+
+        records = self.repeated_prompts(n=12, distinct=3)
+        calls = []
+
+        class FailsOne:
+            backend_id = "mock:fails-one"
+
+            def complete(self, request):
+                calls.append(request.user)
+                if "prompt number 0" in request.user:
+                    raise BackendError("boom")
+                return "sad"
+
+        sharing = [r.utterance_id for r in records if r.transcript == "prompt number 0"]
+        with pytest.raises(AnnotationRunError, match=f"{len(sharing)} records failed"):
+            annotate_corpus(records, TEXT, FailsOne(), failure_budget=len(sharing) - 1,
+                            concurrency=workers)
+        calls.clear()
+        with AnnotationCache(tmp_path / "c.jsonl") as cache:
+            results, summary = annotate_corpus(records, TEXT, FailsOne(), cache=cache,
+                                               failure_budget=len(sharing), concurrency=workers)
+        assert len(calls) == 3
+        assert sum("prompt number 0" in c for c in calls) == 1
+        assert [f["utterance_id"] for f in summary.failures] == sharing
+        assert all("boom" in f["error"] for f in summary.failures)
+        assert len(results) == len(records) - len(sharing)
+        assert len(cache) == 2
+
+    def test_run_without_cache_asks_once_per_distinct_prompt(self):
+        records = self.repeated_prompts(n=12, distinct=3)
+        calls = []
+
+        class Counting:
+            backend_id = "mock:counting"
+
+            def complete(self, request):
+                calls.append(request.user)
+                return "happy"
+
+        results, summary = annotate_corpus(records, TEXT, Counting())
+        assert len(calls) == len(set(calls)) == 3
+        assert summary.cache_hits == 9
+        assert [r.utterance_id for r in results] == [r.utterance_id for r in records]
 
     def test_concurrent_annotation_matches_serial(self, pool, tmp_path):
         gold = {r.utterance_id: r.gold_label for r in pool}

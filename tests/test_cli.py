@@ -193,3 +193,31 @@ class TestFailures:
         ])
         assert result.exit_code == 1
         assert "--features" in result.output
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_vqvae_rejects_epochs_below_one(self, pipeline_dir, tmp_path, epochs):
+        out = tmp_path / "vq.serann"
+        result = CliRunner().invoke(main, [
+            "train-vqvae", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(pipeline_dir / "mels.serann"), "--out", str(out),
+            "--desk-scale", "--epochs", epochs,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--epochs" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ("mock:fixed", "fixed policy needs a label"),
+        ("mock:bogus", "unknown mock policy 'bogus'"),
+    ])
+    def test_annotate_rejects_bad_mock_spec(self, pipeline_dir, tmp_path, spec, message):
+        out = tmp_path / "a.jsonl"
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--backend", spec, "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
