@@ -15,11 +15,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, Protocol, Sequence
 
 import requests
 
-from ..corpus import LABELS
+from ..corpus import LABELS, UtteranceRecord
 from ..synthetic import KEYWORD_LEXICON
 
 
@@ -43,7 +43,6 @@ class RetriesExhaustedError(BackendError):
 class CompletionRequest:
     system: str
     user: str
-    utterance_id: str = ""
 
 
 class Backend(Protocol):
@@ -174,34 +173,50 @@ class MockBackend:
 
 
 def _last_transcript(user: str) -> str:
+    """The text of the prompt's last ``Transcript: "..."`` line (the
+    target's, after any exemplars), without the template's pair of quotes."""
     line = ""
     for candidate in user.splitlines():
         if candidate.startswith("Transcript:"):
             line = candidate
-    return line.partition(":")[2].strip().strip('"')
+    text = line.partition(":")[2].strip()
+    if len(text) >= 2 and text[0] == text[-1] == '"':
+        text = text[1:-1]
+    return text
 
 
 def mock_backend(
     policy: str,
-    gold_by_id: Mapping[str, str] | None = None,
+    records: Sequence[UtteranceRecord] | None = None,
     seed: int = 0,
     label: str | None = None,
 ) -> MockBackend:
-    """Build a mock: ``oracle`` echoes gold labels (requires a gold map),
-    ``random`` hashes (seed, prompt) to a uniform label, ``fixed`` always
-    answers ``label``, ``keyword`` matches the target transcript against a
-    lexicon and falls back to neutral."""
+    """Build a mock: ``oracle`` answers the gold label of the records whose
+    transcript is the prompt's target transcript (it needs gold-labelled
+    ``records``), ``random`` hashes (seed, prompt) to a uniform label,
+    ``fixed`` always answers ``label``, ``keyword`` matches the target
+    transcript against a lexicon and falls back to neutral."""
     if policy == "oracle":
-        if not gold_by_id:
+        gold: dict[str, str] = {}
+        for record in records or ():
+            if not record.gold_label:
+                continue
+            known = gold.setdefault(record.transcript, record.gold_label)
+            if known != record.gold_label:
+                raise ValueError(
+                    f"oracle cannot answer transcript {record.transcript!r}: "
+                    f"its records are labelled {known!r} and {record.gold_label!r}"
+                )
+        if not gold:
             raise ValueError("oracle policy requires gold labels")
-        gold = dict(gold_by_id)
 
         def reply(request: CompletionRequest) -> str:
+            transcript = _last_transcript(request.user)
             try:
-                return gold[request.utterance_id]
+                return gold[transcript]
             except KeyError:
                 raise ValueError(
-                    f"oracle has no gold label for {request.utterance_id!r}"
+                    f"oracle has no gold label for transcript {transcript!r}"
                 ) from None
 
         return MockBackend("oracle", reply)

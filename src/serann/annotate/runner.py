@@ -134,13 +134,7 @@ def _drop_torn_tail(path: Path) -> int:
 def _complete(
     record: UtteranceRecord, spec: PromptSpec, prompt_hash: str, backend: Backend
 ) -> AnnotationResult:
-    request = CompletionRequest(spec.system, spec.user, record.utterance_id)
-    try:
-        raw = backend.complete(request)
-    except BackendError as exc:
-        if not str(exc).startswith(record.utterance_id):
-            raise type(exc)(f"{record.utterance_id}: {exc}") from exc
-        raise
+    raw = backend.complete(CompletionRequest(spec.system, spec.user))
     return AnnotationResult(
         utterance_id=record.utterance_id,
         label=parse_label(raw),
@@ -200,6 +194,8 @@ def annotate_corpus(
     summary."""
     if shots not in ("zero", "few"):
         raise ValueError(f"shots must be 'zero' or 'few', got {shots!r}")
+    if failure_budget < 0:
+        raise ValueError(f"failure_budget must be >= 0, got {failure_budget}")
     features_by_id = dict(features_by_id or {})
     codes_by_id = dict(codes_by_id or {})
     for needed, available, what in (

@@ -73,6 +73,8 @@ class ClassifierConfig:
             )
         if self.classes != len(LABELS):
             raise ValueError(f"classes must be {len(LABELS)}")
+        if self.max_epochs < 1 or self.batch_size < 1:
+            raise ValueError("max_epochs and batch_size must be at least 1")
 
     @classmethod
     def desk(cls) -> "ClassifierConfig":

@@ -148,25 +148,25 @@ def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
 def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout, max_retries, temperature, records, seed):
     if backend_spec.startswith("mock:"):
         policy, _, label = backend_spec[len("mock:"):].partition(":")
-        gold = None
-        if policy == "oracle":
-            gold = {r.utterance_id: r.gold_label for r in records if r.gold_label}
         try:
-            return ann.mock_backend(policy, gold_by_id=gold, seed=seed, label=label or None)
+            return ann.mock_backend(policy, records=records, seed=seed, label=label or None)
         except ValueError as exc:
             _fail(str(exc))
     if backend_spec == "http":
         if not endpoint or not model_name:
             _fail("http backend requires --endpoint and --model")
-        config = ann.BackendConfig(
-            endpoint=endpoint,
-            model=model_name,
-            api_key_env=api_key_env,
-            timeout_s=timeout,
-            max_retries=max_retries,
-            requests_per_minute=rpm,
-            temperature=temperature,
-        )
+        try:
+            config = ann.BackendConfig(
+                endpoint=endpoint,
+                model=model_name,
+                api_key_env=api_key_env,
+                timeout_s=timeout,
+                max_retries=max_retries,
+                requests_per_minute=rpm,
+                temperature=temperature,
+            )
+        except ValueError as exc:
+            _fail(f"invalid http backend settings: {exc}")
         return ann.ChatCompletionBackend(config)
     _fail(f"unknown backend {backend_spec!r}; use http or mock:<policy>")
 

@@ -26,14 +26,11 @@ from .tensor import (
     add,
     mul,
     neg,
-    gather_rows,
     matmul,
     no_grad,
     relu,
     reshape,
     softmax,
-    stop_gradient,
-    straight_through,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -61,7 +58,6 @@ __all__ = [
     "conv_output_size",
     "dense",
     "finite_diff_grad_check",
-    "gather_rows",
     "he_uniform",
     "add",
     "load_checkpoint",
@@ -76,8 +72,6 @@ __all__ = [
     "save_checkpoint",
     "softmax",
     "softmax_cross_entropy",
-    "stop_gradient",
-    "straight_through",
     "tensor_mean",
     "tensor_sum",
     "transpose",

@@ -352,45 +352,3 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     return Tensor(out_data, True, (a,), backprop)
 
-
-# -- gradient routing --------------------------------------------------
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """A constant copy: values flow forward, no gradient flows back."""
-    return Tensor(a.data.copy())
-
-
-def straight_through(carrier: Tensor, values: np.ndarray) -> Tensor:
-    """Emit ``values`` forward; deliver the output gradient to ``carrier``
-    unchanged, as if the value substitution had not happened."""
-    values = np.asarray(values, dtype=carrier.dtype)
-    if values.shape != carrier.shape:
-        raise ShapeError(
-            f"straight_through value shape {values.shape} does not match "
-            f"carrier shape {carrier.shape}"
-        )
-    if not _needs_grad(carrier):
-        return Tensor(values.copy())
-
-    def backprop(g):
-        carrier.accumulate_grad(g)
-
-    return Tensor(values.copy(), True, (carrier,), backprop)
-
-
-def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup ``table[idx]`` with scatter-add of gradients onto rows."""
-    idx = np.asarray(idx)
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-d table, got {table.ndim}-d")
-    out_data = table.data[idx].copy()
-    if not _needs_grad(table):
-        return Tensor(out_data)
-
-    def backprop(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        table.accumulate_grad(buf)
-
-    return Tensor(out_data, True, (table,), backprop)

@@ -5,11 +5,12 @@ each vector snaps to its nearest codebook row (squared Euclidean, ties to
 the lowest index), giving 64 integer codes per utterance. A mirrored stack
 of transpose convolutions reconstructs the input from the selected rows.
 
-Gradient routing makes the non-differentiable snap trainable: the decoder
-path copies its gradient from the quantized grid straight onto the encoder
-output, the codebook moves only under the codebook term (encoder output
-frozen), and the encoder additionally feels the commitment term (codebook
-frozen), scaled by beta.
+Gradient routing makes the non-differentiable snap trainable (van den Oord
+et al., arXiv 1711.00937). Two ops with hand-written adjoints carry it.
+``quantize`` passes the decoder's gradient on the quantized grid straight
+onto the encoder output. ``codebook_losses`` gives the codebook term to the
+codebook alone, as if the encoder output were frozen, and the commitment
+term, scaled by beta, to the encoder alone, as if the codebook were frozen.
 
 Encoder stack: five conv layers, kernel 3, strides (2,2), (2,2), (2,1),
 (2,1), (5,1). Heights: 80 -> 40 -> 20 -> 10 -> 5 -> 1; widths:
@@ -31,17 +32,7 @@ from .coremath.layers import Conv2d, ConvTranspose2d
 from .coremath.ops import mse
 from .coremath.optim import Adam
 from .coremath.rng import Rng
-from .coremath.tensor import (
-    ShapeError,
-    Tensor,
-    gather_rows,
-    mul,
-    no_grad,
-    reshape,
-    stop_gradient,
-    straight_through,
-    transpose,
-)
+from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 from .fileio import read_jsonl, write_jsonl
 
 GRID_POSITIONS = 64
@@ -83,6 +74,8 @@ class VqVaeConfig:
             raise ValueError("codebook_size and code_dim must be positive")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be at least 1")
         if len(self.channels) != len(_LAYER_PLAN):
             raise ValueError(f"channels must list {len(_LAYER_PLAN)} widths")
         if self.channels[-1] != self.code_dim:
@@ -314,37 +307,75 @@ def flatten_grid(z_e: Tensor) -> Tensor:
     return reshape(transpose(z_e, (0, 2, 3, 1)), (n * h * w, d))
 
 
-def unflatten_grid(values: np.ndarray, n: int, d: int) -> np.ndarray:
-    return values.reshape(n, 1, GRID_POSITIONS, d).transpose(0, 3, 1, 2)
-
-
 def quantize(z_e: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
     """Snap each latent position to its nearest codebook row.
 
-    Returns the quantized grid (same shape as ``z_e``, constant values) and
-    the integer codes, one per position.
+    Returns the quantized grid (the selected rows, shaped like ``z_e``) and
+    the integer codes, one per position, position-major. The grid is one
+    tape node whose adjoint hands its output gradient to ``z_e`` unchanged
+    (the straight-through estimator); it never moves the codebook.
     """
-    n, d = z_e.shape[0], z_e.shape[1]
-    flat = flatten_grid(z_e)
-    codes = nearest_codes(flat.data, codebook.data)
-    z_q_values = unflatten_grid(codebook.data[codes], n, d)
-    return Tensor(z_q_values.astype(z_e.dtype)), codes
+    n, d, h, w = z_e.shape
+    codes = nearest_codes(z_e.data.transpose(0, 2, 3, 1).reshape(-1, d), codebook.data)
+    rows = codebook.data[codes].astype(z_e.dtype, copy=False)
+    values = rows.reshape(n, h, w, d).transpose(0, 3, 1, 2)
+    if not _needs_grad(z_e):
+        return Tensor(values), codes
+
+    def backprop(g):
+        z_e.accumulate_grad(g)
+
+    # Small GEMMs in the first decoder layer's kernel gradient sum in an
+    # order that depends on the grid's memory layout; training keeps the
+    # C-contiguous grid its bits were fixed with.
+    return Tensor(np.ascontiguousarray(values), True, (z_e,), backprop), codes
 
 
-def vqvae_losses(
-    x: Tensor, x_hat: Tensor, z_e: Tensor, z_q: Tensor, e_selected: Tensor, beta: float
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Reconstruction, codebook, and commitment terms plus their sum.
+def codebook_losses(
+    z_e: Tensor, codebook: Tensor, codes: np.ndarray, beta: float
+) -> tuple[Tensor, Tensor]:
+    """The codebook term and the commitment term for the rows ``codes``
+    picked at ``z_e``'s positions.
 
-    Each term is a mean squared difference. The codebook term freezes the
-    encoder side so only embeddings move; the commitment term freezes the
-    selected embeddings so only the encoder moves.
+    Both are the mean of (z_e - e)**2 over every position and dimension,
+    and the commitment term is scaled by ``beta``. Each term is one tape
+    node. The codebook term moves only ``codebook``: its gradient is
+    scatter-added onto the selected rows, so a row picked at several
+    positions gets their sum. The commitment term moves only ``z_e``.
     """
-    recon = mse(x, x_hat)
-    codebook_loss = mse(stop_gradient(z_e), e_selected)
-    commitment = mul(Tensor(np.asarray(beta, dtype=z_e.dtype)), mse(z_e, stop_gradient(z_q)))
-    total = recon + codebook_loss + commitment
-    return recon, codebook_loss, commitment, total
+    n, d, h, w = z_e.shape
+    diff = z_e.data.transpose(0, 2, 3, 1).reshape(-1, d) - codebook.data[codes]
+    square = (diff * diff).mean()
+    beta = np.asarray(beta, dtype=z_e.dtype)
+
+    def square_grad(g):
+        # d mean(diff**2) / d diff, summed as the tape sums the two operands
+        # of diff * diff: s * diff + s * diff.
+        grad = (np.asarray(g, dtype=diff.dtype) / diff.size) * diff
+        grad += grad
+        return grad
+
+    def codebook_backprop(g):
+        rows = np.zeros_like(codebook.data)
+        np.add.at(rows, codes, -square_grad(g))
+        codebook.accumulate_grad(rows)
+
+    def commitment_backprop(g):
+        grad = square_grad(g * beta)
+        z_e.accumulate_grad(grad.reshape(n, h, w, d).transpose(0, 3, 1, 2))
+
+    codebook_term = (
+        Tensor(square, True, (codebook,), codebook_backprop)
+        if _needs_grad(codebook)
+        else Tensor(square)
+    )
+    commitment = beta * square
+    commitment_term = (
+        Tensor(commitment, True, (z_e,), commitment_backprop)
+        if _needs_grad(z_e)
+        else Tensor(commitment)
+    )
+    return codebook_term, commitment_term
 
 
 def train_step(model: VqVae, batch: np.ndarray, adam: Adam) -> tuple[LossBundle, np.ndarray]:
@@ -352,15 +383,10 @@ def train_step(model: VqVae, batch: np.ndarray, adam: Adam) -> tuple[LossBundle,
     the codes picked this step."""
     x = Tensor(np.asarray(batch, dtype=model.dtype))
     z_e = model.encode(x)
-    flat = flatten_grid(z_e)
-    codes = nearest_codes(flat.data, model.codebook.data)
-    e_selected = gather_rows(model.codebook, codes)
-    z_q_values = unflatten_grid(model.codebook.data[codes], x.shape[0], model.config.code_dim)
-    decoder_in = straight_through(z_e, z_q_values)
-    x_hat = model.decode(decoder_in)
-    recon, cb, commit, total = vqvae_losses(
-        x, x_hat, flat, e_selected, e_selected, model.config.beta
-    )
+    z_q, codes = quantize(z_e, model.codebook)
+    recon = mse(x, model.decode(z_q))
+    cb, commit = codebook_losses(z_e, model.codebook, codes, model.config.beta)
+    total = recon + cb + commit
     losses = LossBundle(
         reconstruction=float(recon.data),
         codebook=float(cb.data),

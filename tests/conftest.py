@@ -138,6 +138,54 @@ def reference_conv2d_transpose(x, kernels, stride, padding, output_padding, bias
     return _reference_epilogue(out, bias, activation)
 
 
+def _stop_gradient(a):
+    from serann.coremath.tensor import Tensor
+
+    return Tensor(a.data.copy())
+
+
+def _straight_through(carrier, values):
+    from serann.coremath.tensor import Tensor
+
+    def backprop(g):
+        carrier.accumulate_grad(g)
+
+    return Tensor(np.asarray(values, dtype=carrier.dtype).copy(), True, (carrier,), backprop)
+
+
+def _gather_rows(table, idx):
+    from serann.coremath.tensor import Tensor
+
+    def backprop(g):
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, idx, g)
+        table.accumulate_grad(buf)
+
+    return Tensor(table.data[idx].copy(), True, (table,), backprop)
+
+
+def reference_vq_losses(model, x):
+    """One VQ-VAE loss built from general tape ops: a gradient-blocking copy,
+    a straight-through value swap and a scatter-adding row lookup. Returns
+    ``(z_e, z_q, codes, recon, codebook_term, commitment_term)``."""
+    from serann.coremath.ops import mse
+    from serann.coremath.tensor import Tensor, mul
+    from serann.vqvae import flatten_grid, nearest_codes
+
+    z_e = model.encode(x)
+    flat = flatten_grid(z_e)
+    codes = nearest_codes(flat.data, model.codebook.data)
+    e_selected = _gather_rows(model.codebook, codes)
+    n, d, h, w = z_e.shape
+    z_q_values = model.codebook.data[codes].reshape(n, h, w, d).transpose(0, 3, 1, 2)
+    z_q = _straight_through(z_e, z_q_values)
+    recon = mse(x, model.decode(z_q))
+    codebook_term = mse(_stop_gradient(flat), e_selected)
+    beta = Tensor(np.asarray(model.config.beta, dtype=z_e.dtype))
+    commitment_term = mul(beta, mse(flat, _stop_gradient(e_selected)))
+    return z_e, z_q, codes, recon, codebook_term, commitment_term
+
+
 def tape_nodes(root):
     """Number of tensors reachable from ``root`` through recorded parents,
     ``root`` and the leaves included."""

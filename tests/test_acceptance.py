@@ -44,10 +44,9 @@ from serann.coremath import (
     conv2d_transpose,
     dense,
     finite_diff_grad_check,
-    gather_rows,
+    mse,
     mul,
     softmax_cross_entropy,
-    straight_through,
     tensor_sum,
 )
 from serann.coremath.checkpoint import save_checkpoint
@@ -67,12 +66,11 @@ from serann.synthetic import build_synthetic_corpus, two_pattern_mels
 from serann.vqvae import (
     VqVae,
     VqVaeConfig,
+    codebook_losses,
     extract_codes,
-    flatten_grid,
     nearest_codes,
+    quantize,
     train_vqvae,
-    unflatten_grid,
-    vqvae_losses,
 )
 
 DURATIONS: dict[str, float] = {}
@@ -155,9 +153,7 @@ class TestC01GradientSuite:
             if name.endswith(".bias"):
                 param.data = rng.normal(0, 0.05, param.shape, np.float64)
         mel_in = Tensor(two_pattern_mels(1, Rng(102))[0][:2, None].astype(np.float64))
-        frozen_codes = nearest_codes(
-            flatten_grid(vq_model.encode(mel_in)).data, vq_model.codebook.data
-        )
+        frozen_codes = quantize(vq_model.encode(mel_in), vq_model.codebook)[1]
         layer_params = [
             t for name, t in vq_model.params().items() if name != "codebook"
         ]
@@ -172,24 +168,19 @@ class TestC01GradientSuite:
             epsilon=1e-5, max_checks_per_tensor=3, rng=Rng(103),
         )
 
-        frozen_z = flatten_grid(vq_model.encode(mel_in)).data.copy()
+        frozen_z = Tensor(vq_model.encode(mel_in).data.copy())
 
         def codebook_term():
-            e_sel = gather_rows(vq_model.codebook, frozen_codes)
-            diff = Tensor(frozen_z) - e_sel
-            return tensor_sum(mul(diff, diff))
+            return codebook_losses(frozen_z, vq_model.codebook, frozen_codes, toy.beta)[0]
 
         worst["vqvae_codebook_term"] = finite_diff_grad_check(
             codebook_term, [vq_model.codebook],
             epsilon=1e-5, max_checks_per_tensor=8, rng=Rng(106),
         )
 
-        frozen_e = vq_model.codebook.data[frozen_codes].copy()
-
         def commitment_term():
-            flat = flatten_grid(vq_model.encode(mel_in))
-            diff = flat - Tensor(frozen_e)
-            return tensor_sum(mul(diff, diff))
+            z_e = vq_model.encode(mel_in)
+            return codebook_losses(z_e, vq_model.codebook, frozen_codes, toy.beta)[1]
 
         encoder_params = [t for name, t in vq_model.params().items() if name.startswith("enc.")]
         worst["vqvae_commitment_term"] = finite_diff_grad_check(
@@ -251,32 +242,28 @@ class TestC03StraightThrough:
         mels, _ = two_pattern_mels(1, Rng(34))
         x = Tensor(mels[:2, None].astype(np.float32))
         z_e = model.encode(x)
-        flat = flatten_grid(z_e)
-        codes = nearest_codes(flat.data, model.codebook.data)
-        e_sel = gather_rows(model.codebook, codes)
-        z_q_values = unflatten_grid(model.codebook.data[codes], 2, model.config.code_dim)
-        st = straight_through(z_e, z_q_values)
-        x_hat = model.decode(st)
-        recon, cb, commit, _ = vqvae_losses(x, x_hat, flat, e_sel, e_sel, model.config.beta)
-        return model, z_e, flat, st, recon, cb, commit
+        z_q, codes = quantize(z_e, model.codebook)
+        recon = mse(x, model.decode(z_q))
+        cb, commit = codebook_losses(z_e, model.codebook, codes, model.config.beta)
+        return model, z_e, z_q, recon, cb, commit
 
     def test_c03_reconstruction_gradient_copied_bitwise(self, graph):
-        model, z_e, _, st, recon, _, _ = graph
+        model, z_e, z_q, recon, _, _ = graph
         recon.backward()
-        assert st.grad is not None and z_e.grad is not None
-        assert z_e.grad.tobytes() == st.grad.tobytes()
+        assert z_q.grad is not None and z_e.grad is not None
+        assert z_e.grad.tobytes() == z_q.grad.tobytes()
         assert model.codebook.grad is None
 
     def test_c03_commitment_never_moves_codebook(self, graph):
-        model, z_e, flat, _, _, _, commit = graph
+        model, z_e, _, _, _, commit = graph
         commit.backward()
         assert model.codebook.grad is None
-        assert flat.grad is not None and np.any(flat.grad != 0)
+        assert z_e.grad is not None and np.any(z_e.grad != 0)
 
     def test_c03_codebook_term_never_moves_encoder(self, graph):
-        model, z_e, flat, _, _, cb, _ = graph
+        model, z_e, _, _, cb, _ = graph
         cb.backward()
-        assert flat.grad is None and z_e.grad is None
+        assert z_e.grad is None
         assert model.codebook.grad is not None and np.any(model.codebook.grad != 0)
 
 
@@ -441,8 +428,7 @@ class TestC09EndToEnd:
     ):
         started = time.monotonic()
         tmp = tmp_path_factory.mktemp("c09a")
-        gold = {r.utterance_id: r.gold_label for r in corpus_records}
-        backend = mock_backend("oracle", gold_by_id=gold)
+        backend = mock_backend("oracle", records=corpus_records)
         results, summary = annotate_corpus(corpus_records, ContextVariant.TEXT_ONLY, backend)
         assert summary.unparseable == 0
         llm_records = [
@@ -545,8 +531,7 @@ class TestC10Augmentation:
             extra_mels[renamed.utterance_id] = dsp.mel_spectrogram(clip)
             extras.append(renamed)
 
-        gold = {r.utterance_id: r.gold_label for r in extras}
-        backend = mock_backend("oracle", gold_by_id=gold)
+        backend = mock_backend("oracle", records=extras)
         results, _ = annotate_corpus(extras, ContextVariant.TEXT_ONLY, backend)
         labels = {res.utterance_id: res.label for res in results}
         extras = [

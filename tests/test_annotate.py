@@ -322,7 +322,7 @@ def api_key(monkeypatch):
 class TestHttpBackend:
     def test_payload_shape(self):
         backend, transport = http_backend([ok_body("happy")])
-        backend.complete(CompletionRequest(system="sys", user="usr", utterance_id="u1"))
+        backend.complete(CompletionRequest(system="sys", user="usr"))
         _, payload, headers, timeout = transport.calls[0]
         assert payload["model"] == "test-model"
         assert payload["temperature"] == 0.0
@@ -386,11 +386,27 @@ class TestHttpBackend:
 
 class TestMockBackends:
     def test_oracle_requires_and_uses_gold(self, pool):
-        backend = mock_backend("oracle", gold_by_id={r.utterance_id: r.gold_label for r in pool})
-        req = CompletionRequest("s", "u", utterance_id=pool[3].utterance_id)
-        assert backend.complete(req) == pool[3].gold_label
+        backend = mock_backend("oracle", records=pool)
+        few_shot = few_shot_block(pool[10:20], TEXT)
+        for record in pool[:4]:  # the target's transcript, not an exemplar's
+            spec = build_prompt(record, TEXT, few_shot)
+            assert backend.complete(CompletionRequest(spec.system, spec.user)) == record.gold_label
         with pytest.raises(ValueError, match="oracle"):
             mock_backend("oracle")
+
+    def test_oracle_refuses_a_transcript_with_two_gold_labels(self):
+        records = [make_record("u0", "I see.", "sad"), make_record("u1", "I see.", "angry")]
+        with pytest.raises(ValueError, match=re.escape("'I see.'")):
+            mock_backend("oracle", records=records)
+        same = [make_record("u0", "I see.", "sad"), make_record("u1", "I see.", "sad")]
+        assert mock_backend("oracle", records=same).backend_id == "mock:oracle"
+
+    def test_oracle_keeps_quotes_that_belong_to_the_transcript(self):
+        records = [make_record("u0", 'she said "no"', "angry"), make_record("u1", "she said", "sad")]
+        backend = mock_backend("oracle", records=records)
+        for record in records:
+            spec = build_prompt(record, TEXT)
+            assert backend.complete(CompletionRequest(spec.system, spec.user)) == record.gold_label
 
     def test_fixed_label(self):
         backend = mock_backend("fixed", label="sad")
@@ -420,15 +436,14 @@ class TestMockBackends:
         backend = mock_backend("keyword")
         record = make_record("u1", transcript="what a delightful morning")
         spec = build_prompt(record, TEXT)
-        req = CompletionRequest(spec.system, spec.user, "u1")
+        req = CompletionRequest(spec.system, spec.user)
         assert backend.complete(req) == "happy"
         bland = build_prompt(make_record("u2", transcript="nothing notable"), TEXT)
-        assert backend.complete(CompletionRequest(bland.system, bland.user, "u2")) == "neutral"
+        assert backend.complete(CompletionRequest(bland.system, bland.user)) == "neutral"
 
 
 class TestAnnotateAndCache:
     def test_cache_hit_skips_backend(self, pool, tmp_path):
-        cache = AnnotationCache(tmp_path / "cache.jsonl")
         calls = {"n": 0}
 
         class Counting:
@@ -439,8 +454,9 @@ class TestAnnotateAndCache:
                 return "happy"
 
         record = pool[0]
-        [first], summary1 = annotate_corpus([record], TEXT, Counting(), cache=cache)
-        [second], summary2 = annotate_corpus([record], TEXT, Counting(), cache=cache)
+        with AnnotationCache(tmp_path / "cache.jsonl") as cache:
+            [first], summary1 = annotate_corpus([record], TEXT, Counting(), cache=cache)
+            [second], summary2 = annotate_corpus([record], TEXT, Counting(), cache=cache)
         assert (summary1.cache_hits, summary2.cache_hits) == (0, 1)
         assert calls["n"] == 1
         assert second.raw_response == first.raw_response
@@ -449,8 +465,10 @@ class TestAnnotateAndCache:
     def test_cache_survives_reload(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_backend("fixed", label="angry")
-        annotate_corpus([pool[0]], TEXT, backend, cache=AnnotationCache(path))
-        [result], summary = annotate_corpus([pool[0]], TEXT, backend, cache=AnnotationCache(path))
+        with AnnotationCache(path) as cache:
+            annotate_corpus([pool[0]], TEXT, backend, cache=cache)
+        with AnnotationCache(path) as cache:
+            [result], summary = annotate_corpus([pool[0]], TEXT, backend, cache=cache)
         assert summary.cache_hits == 1
         assert result.label == "angry"
 
@@ -460,7 +478,7 @@ class TestAnnotateAndCache:
         assert result.prompt_hash
 
     def test_annotations_file_roundtrip(self, pool, tmp_path):
-        backend = mock_backend("oracle", gold_by_id={r.utterance_id: r.gold_label for r in pool})
+        backend = mock_backend("oracle", records=pool)
         results, _ = annotate_corpus(pool, TEXT, backend)
         path = tmp_path / "ann.jsonl"
         write_annotations(path, results)
@@ -472,8 +490,10 @@ class TestAnnotateAndCache:
         path = tmp_path / "cache.jsonl"
         records = pool[:3]
         keyword, sad = mock_backend("keyword"), mock_backend("fixed", label="sad")
-        annotate_corpus(records, TEXT, keyword, cache=AnnotationCache(path))
-        results, summary = annotate_corpus(records, TEXT, sad, cache=AnnotationCache(path))
+        with AnnotationCache(path) as cache:
+            annotate_corpus(records, TEXT, keyword, cache=cache)
+        with AnnotationCache(path) as cache:
+            results, summary = annotate_corpus(records, TEXT, sad, cache=cache)
         assert summary.cache_hits == 0
         assert [(r.label, r.backend_id) for r in results] == [("sad", sad.backend_id)] * 3
         cache = AnnotationCache(path)
@@ -485,8 +505,9 @@ class TestAnnotateAndCache:
 
     def test_resume_from_torn_last_record(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
-        oracle = mock_backend("oracle", gold_by_id={r.utterance_id: r.gold_label for r in pool})
-        annotate_corpus(pool, TEXT, oracle, cache=AnnotationCache(path))
+        oracle = mock_backend("oracle", records=pool)
+        with AnnotationCache(path) as cache:
+            annotate_corpus(pool, TEXT, oracle, cache=cache)
         whole = path.read_bytes()
         last_start = whole.rstrip(b"\n").rfind(b"\n") + 1
         path.write_bytes(whole[: last_start + (len(whole) - last_start) // 2])
@@ -496,12 +517,12 @@ class TestAnnotateAndCache:
             backend_id = oracle.backend_id
 
             def complete(self, request):
-                calls.append(request.utterance_id)
+                calls.append(request.user)
                 return oracle.complete(request)
 
-        cache = AnnotationCache(path)
-        assert cache.dropped == 1
-        results, _ = annotate_corpus(pool, TEXT, Counting(), cache=cache)
+        with AnnotationCache(path) as cache:
+            assert cache.dropped == 1
+            results, _ = annotate_corpus(pool, TEXT, Counting(), cache=cache)
         assert len(calls) == 1
         assert [r.label for r in results] == [r.gold_label for r in pool]
         assert path.read_bytes() == whole
@@ -518,7 +539,8 @@ class TestAnnotateAndCache:
 
     def test_corrupt_middle_line_raises(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
-        annotate_corpus(pool[:3], TEXT, mock_backend("keyword"), cache=AnnotationCache(path))
+        with AnnotationCache(path) as cache:
+            annotate_corpus(pool[:3], TEXT, mock_backend("keyword"), cache=cache)
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
         path.write_text("".join(lines))
@@ -528,7 +550,7 @@ class TestAnnotateAndCache:
 
 class TestAnnotateCorpus:
     def test_oracle_reaches_full_agreement(self, pool):
-        backend = mock_backend("oracle", gold_by_id={r.utterance_id: r.gold_label for r in pool})
+        backend = mock_backend("oracle", records=pool)
         results, summary = annotate_corpus(pool, TEXT, backend)
         agreement = np.mean(
             [r.label == record.gold_label for r, record in zip(results, pool)]
@@ -546,19 +568,19 @@ class TestAnnotateCorpus:
         assert 0.20 <= agreement <= 0.30
 
     def test_resume_only_hits_uncached(self, pool, tmp_path):
-        cache = AnnotationCache(tmp_path / "cache.jsonl")
         calls = []
 
         class Logging:
             backend_id = "mock:logging"
 
             def complete(self, request):
-                calls.append(request.utterance_id)
+                calls.append(request.user)
                 return "sad"
 
-        annotate_corpus(pool[:6], TEXT, Logging(), cache=cache)
-        assert len(calls) == 6
-        _, summary = annotate_corpus(pool, TEXT, Logging(), cache=cache)
+        with AnnotationCache(tmp_path / "cache.jsonl") as cache:
+            annotate_corpus(pool[:6], TEXT, Logging(), cache=cache)
+            assert len(calls) == 6
+            _, summary = annotate_corpus(pool, TEXT, Logging(), cache=cache)
         assert len(calls) == len(pool)  # only the 14 new records hit the backend
         assert summary.cache_hits == 6
 
@@ -605,6 +627,38 @@ class TestAnnotateCorpus:
         assert len(results) == len(pool) - 2
         assert len(summary.failures) == 2
 
+    def test_failure_text_names_each_record_once(self):
+        from serann.annotate import BackendError
+
+        class Raising:
+            backend_id = "mock:raising"
+
+            def complete(self, request):
+                raise BackendError("boom")
+
+        records = [make_record("u0"), make_record("u1")]  # one shared prompt
+        with pytest.raises(AnnotationRunError) as info:
+            annotate_corpus(records, TEXT, Raising())
+        assert str(info.value) == "2 records failed (budget 0): u0: boom; u1: boom"
+        _, summary = annotate_corpus(records, TEXT, Raising(), failure_budget=2)
+        assert summary.failures == [
+            {"utterance_id": "u0", "error": "boom"},
+            {"utterance_id": "u1", "error": "boom"},
+        ]
+
+    def test_negative_failure_budget_rejected_before_any_call(self, pool):
+        class Counting:
+            backend_id = "mock:counting"
+            calls = 0
+
+            def complete(self, request):
+                Counting.calls += 1
+                return "sad"
+
+        with pytest.raises(ValueError, match="failure_budget"):
+            annotate_corpus(pool, TEXT, Counting(), failure_budget=-1)
+        assert Counting.calls == 0
+
     def test_concurrent_workers_share_one_call_per_prompt(self, tmp_path):
         records = [make_record(f"s{i}") for i in range(8)]  # one shared prompt
         calls = []
@@ -613,13 +667,12 @@ class TestAnnotateCorpus:
             backend_id = "mock:slow"
 
             def complete(self, request):
-                calls.append(request.utterance_id)
+                calls.append(request.user)
                 time.sleep(0.05)
                 return "neutral"
 
-        results, summary = annotate_corpus(
-            records, TEXT, Slow(), cache=AnnotationCache(tmp_path / "c.jsonl"), concurrency=4
-        )
+        with AnnotationCache(tmp_path / "c.jsonl") as cache:
+            results, summary = annotate_corpus(records, TEXT, Slow(), cache=cache, concurrency=4)
         assert len(calls) == 1
         assert summary.cache_hits == 7
         assert [r.utterance_id for r in results] == [r.utterance_id for r in records]
@@ -640,10 +693,8 @@ class TestAnnotateCorpus:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _, summary = annotate_corpus(
-                records, TEXT, Counting(), cache=AnnotationCache(tmp_path / "c.jsonl"),
-                concurrency=8,
-            )
+            with AnnotationCache(tmp_path / "c.jsonl") as cache:
+                _, summary = annotate_corpus(records, TEXT, Counting(), cache=cache, concurrency=8)
         finally:
             sys.setswitchinterval(interval)
         assert len(calls) == len(set(calls)) == 5
@@ -728,10 +779,9 @@ class TestAnnotateCorpus:
         assert [r.utterance_id for r in results] == [r.utterance_id for r in records]
 
     def test_concurrent_annotation_matches_serial(self, pool, tmp_path):
-        gold = {r.utterance_id: r.gold_label for r in pool}
-        serial, _ = annotate_corpus(pool, TEXT, mock_backend("oracle", gold_by_id=gold))
-        parallel, _ = annotate_corpus(
-            pool, TEXT, mock_backend("oracle", gold_by_id=gold),
-            cache=AnnotationCache(tmp_path / "c.jsonl"), concurrency=4,
-        )
+        serial, _ = annotate_corpus(pool, TEXT, mock_backend("oracle", records=pool))
+        with AnnotationCache(tmp_path / "c.jsonl") as cache:
+            parallel, _ = annotate_corpus(
+                pool, TEXT, mock_backend("oracle", records=pool), cache=cache, concurrency=4,
+            )
         assert [r.label for r in serial] == [r.label for r in parallel]

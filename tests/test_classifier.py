@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClassifierConfig(classes=5)
 
+    @pytest.mark.parametrize("field", ["max_epochs", "batch_size"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ClassifierConfig(**{field: 0})
+
 
 class TestForward:
     def test_logits_shape(self, desk_model, corpus_arrays):

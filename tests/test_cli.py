@@ -221,3 +221,71 @@ class TestFailures:
         assert f"error: {message}" in result.output
         assert "Traceback" not in result.output
         assert list(tmp_path.iterdir()) == []
+
+
+def invalid_run(tmp_path, *args, config=None):
+    """Run a command whose outputs go to ``tmp_path/out``; returns the result
+    and what that directory holds afterwards."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ("--config", str(path))
+    result = CliRunner().invoke(main, [a.replace("OUT", str(out_dir)) for a in args])
+    return result, sorted(p.name for p in out_dir.iterdir())
+
+
+class TestInvalidNumbers:
+    """Each rejected setting exits 1 with ``error:`` before anything is
+    written or asked, and without a traceback."""
+
+    @staticmethod
+    def assert_rejected(result, written, message):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert written == []
+
+    @pytest.mark.parametrize("section", [{"epochs": 0}, {"batch_size": 0}])
+    def test_train_vqvae_config(self, pipeline_dir, tmp_path, section):
+        result, written = invalid_run(
+            tmp_path, "train-vqvae", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(pipeline_dir / "mels.serann"), "--out", "OUT/vq.serann",
+            "--desk-scale", config={"vqvae": section},
+        )
+        self.assert_rejected(result, written, "invalid vqvae config")
+
+    @pytest.mark.parametrize("flag, config", [
+        (("--max-epochs", "0"), None),
+        (("--max-epochs", "-3"), None),
+        ((), {"classifier": {"batch_size": 0}}),
+    ])
+    def test_train_classifier(self, pipeline_dir, tmp_path, flag, config):
+        result, written = invalid_run(
+            tmp_path, "train-classifier", "--manifest",
+            str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(pipeline_dir / "mels.serann"), "--folds", "fixed", "--repeats", "1",
+            "--desk-scale", "--out", "OUT/report.json", *flag, config=config,
+        )
+        self.assert_rejected(result, written, "invalid classifier config")
+
+    def test_annotate_negative_failure_budget(self, pipeline_dir, tmp_path):
+        result, written = invalid_run(
+            tmp_path, "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--backend", "mock:keyword", "--failure-budget", "-1", "--out", "OUT/a.jsonl",
+        )
+        self.assert_rejected(result, written, "failure_budget must be >= 0")
+
+    @pytest.mark.parametrize("flag, message", [
+        (("--rpm", "0"), "requests_per_minute must be positive"),
+        (("--max-retries", "-1"), "max_retries must be >= 0"),
+    ])
+    def test_annotate_http_settings(self, pipeline_dir, tmp_path, flag, message):
+        result, written = invalid_run(
+            tmp_path, "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--backend", "http", "--endpoint", "https://llm.example/v1/chat", "--model", "m",
+            *flag, "--out", "OUT/a.jsonl",
+        )
+        self.assert_rejected(result, written, f"invalid http backend settings: {message}")

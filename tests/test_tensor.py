@@ -14,7 +14,6 @@ from serann.coremath import (
     conv2d_transpose,
     dense,
     finite_diff_grad_check,
-    gather_rows,
     matmul,
     mse,
     mul,
@@ -24,12 +23,11 @@ from serann.coremath import (
     reshape,
     softmax,
     softmax_cross_entropy,
-    stop_gradient,
-    straight_through,
     tensor_mean,
     tensor_sum,
     transpose,
 )
+from serann.vqvae import codebook_losses, quantize
 
 
 def leaf(shape, rng, scale=1.0):
@@ -97,47 +95,6 @@ class TestSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-class TestGradientRouting:
-    def test_stop_gradient_blocks(self, rng):
-        x = leaf((3,), rng)
-        out = tensor_sum(mul(stop_gradient(x), x))
-        out.backward()
-        # d/dx of const * x is just const, no second term
-        np.testing.assert_allclose(x.grad, x.data)
-
-    def test_straight_through_values_and_gradient(self, rng):
-        carrier = leaf((2, 3), rng)
-        values = rng.normal(0, 1, (2, 3), np.float64)
-        st = straight_through(carrier, values)
-        np.testing.assert_array_equal(st.data, values)
-        out = tensor_sum(mul(st, Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))))
-        out.backward()
-        assert st.grad is not None
-        assert carrier.grad.tobytes() == st.grad.tobytes()
-
-    def test_straight_through_shape_mismatch(self, rng):
-        carrier = leaf((2, 3), rng)
-        with pytest.raises(ShapeError):
-            straight_through(carrier, np.zeros((3, 2)))
-
-    def test_gather_rows_scatter(self):
-        table = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
-        idx = np.array([1, 1, 3])
-        out = gather_rows(table, idx)
-        np.testing.assert_array_equal(out.data, table.data[idx])
-        tensor_sum(out).backward()
-        expected = np.zeros((4, 3))
-        expected[1] = 2.0
-        expected[3] = 1.0
-        np.testing.assert_array_equal(table.grad, expected)
-
-    def test_gather_rows_gradcheck(self, rng):
-        table = leaf((5, 3), rng)
-        idx = np.array([0, 2, 2, 4])
-        err = finite_diff_grad_check(lambda: scalarize(gather_rows(table, idx)), [table])
-        assert err < 1e-6
-
-
 class TestTensorBasics:
     def test_backward_requires_scalar(self, rng):
         x = leaf((2, 2), rng)
@@ -166,10 +123,11 @@ def every_op(rng):
     seq = leaf((2, 3, 4), rng)
     lstm = LstmParams(leaf((4, 8), rng), leaf((2, 8), rng), leaf((8,), rng))
     conv_bias = leaf((3,), rng)
+    grid = leaf((2, 4, 1, 3), rng)
     return lambda: [
         add(a, a), mul(a, a), neg(a), relu(a), tensor_sum(a), tensor_mean(a, axis=0),
         reshape(a, (4, 3)), transpose(a, (1, 0)), matmul(a, b), softmax(a),
-        straight_through(a, a.data * 2), gather_rows(a, np.array([2, 0, 2])),
+        quantize(grid, a)[0], *codebook_losses(grid, a, np.array([2, 0, 2, 1, 0, 2]), 0.25),
         conv2d(img, kern, padding=1), conv2d_transpose(conv2d(img, kern), tkern, stride=2),
         conv2d(img, kern, 1, 1, conv_bias, "relu"),
         conv2d_transpose(conv2d(img, kern), tkern, 2, 0, 1, bias, "relu"),

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_codes, tape_nodes
+from conftest import brute_force_codes, reference_vq_losses, tape_nodes
 from serann import vqvae
-from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mul, tensor_sum
+from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mse, mul, tensor_sum
 from serann.synthetic import two_pattern_mels
 from serann.vqvae import (
     GRID_POSITIONS,
     CodebookError,
     VqVae,
     VqVaeConfig,
+    codebook_losses,
     extract_codes,
     flatten_grid,
     load_codes,
@@ -19,7 +20,6 @@ from serann.vqvae import (
     quantize,
     reconstruction_loss,
     train_step,
-    vqvae_losses,
     write_codes,
 )
 
@@ -45,6 +45,11 @@ class TestConfig:
     def test_invalid_codebook_size(self):
         with pytest.raises(ValueError):
             VqVaeConfig(codebook_size=0)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            VqVaeConfig(**{field: 0})
 
     def test_channels_must_end_at_code_dim(self):
         with pytest.raises(ValueError, match="code_dim"):
@@ -231,71 +236,128 @@ class TestQuantize:
             nearest_codes(np.zeros((1, 2)), np.zeros((0, 2)))
 
 
+def grid(rows, n=1):
+    """(n * P, d) rows -> an (n, d, 1, P) latent grid that requires grad."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    values = rows.reshape(n, 1, -1, d).transpose(0, 3, 1, 2).copy()
+    return Tensor(values, requires_grad=True)
+
+
 class TestLosses:
     def test_identical_reconstruction_zero_loss(self, rng):
         x = Tensor(rng.normal(0, 1, (2, 4), np.float64))
-        recon, _, _, _ = vqvae_losses(x, Tensor(x.data.copy()), x, x, x, beta=0.25)
-        assert float(recon.data) == 0.0
+        assert float(mse(x, Tensor(x.data.copy())).data) == 0.0
 
     def test_matched_embedding_zero_terms(self, rng):
-        z = Tensor(rng.normal(0, 1, (3, 4), np.float64), requires_grad=True)
-        e = Tensor(z.data.copy(), requires_grad=True)
-        x = Tensor(rng.normal(0, 1, (2, 2), np.float64))
-        _, cb, commit, _ = vqvae_losses(x, x, z, e, e, beta=0.25)
+        rows = rng.normal(0, 1, (3, 4), np.float64)
+        z = grid(rows)
+        e = Tensor(rows.copy(), requires_grad=True)
+        cb, commit = codebook_losses(z, e, np.arange(3), beta=0.25)
         assert float(cb.data) == 0.0
         assert float(commit.data) == 0.0
 
     def test_commitment_is_beta_times_mean_square(self):
         # mean squared difference of 4.0 with beta 0.25 gives 1.0
-        z = Tensor(np.full((2, 2), 2.0), requires_grad=True)
-        e = Tensor(np.zeros((2, 2)))
-        x = Tensor(np.zeros((1, 1)))
-        _, _, commit, total = vqvae_losses(x, x, z, e, e, beta=0.25)
+        z = grid(np.full((2, 2), 2.0))
+        e = Tensor(np.zeros((1, 2)))
+        cb, commit = codebook_losses(z, e, np.zeros(2, dtype=np.int64), beta=0.25)
         assert float(commit.data) == pytest.approx(1.0)
-        assert float(total.data) == pytest.approx(1.0 + 4.0)  # plus codebook term
+        assert float((cb + commit).data) == pytest.approx(1.0 + 4.0)  # plus codebook term
 
     def test_codebook_term_moves_embeddings_only(self, rng):
-        z = Tensor(rng.normal(0, 1, (3, 4), np.float64), requires_grad=True)
+        z = grid(rng.normal(0, 1, (3, 4), np.float64))
         e = Tensor(rng.normal(0, 1, (3, 4), np.float64), requires_grad=True)
-        x = Tensor(np.zeros((1, 1)))
-        _, cb, _, _ = vqvae_losses(x, x, z, e, e, beta=0.25)
+        cb, _ = codebook_losses(z, e, np.arange(3), beta=0.25)
         cb.backward()
         assert z.grad is None
         assert e.grad is not None and np.any(e.grad != 0)
 
     def test_commitment_term_moves_encoder_only(self, rng):
-        z = Tensor(rng.normal(0, 1, (3, 4), np.float64), requires_grad=True)
+        z = grid(rng.normal(0, 1, (3, 4), np.float64))
         e = Tensor(rng.normal(0, 1, (3, 4), np.float64), requires_grad=True)
-        x = Tensor(np.zeros((1, 1)))
-        _, _, commit, _ = vqvae_losses(x, x, z, e, e, beta=0.25)
+        _, commit = codebook_losses(z, e, np.arange(3), beta=0.25)
         commit.backward()
         assert e.grad is None
         assert z.grad is not None and np.any(z.grad != 0)
 
+    def test_codebook_gradient_sums_repeated_rows(self):
+        # d/de_k of mean((z - e_c)**2) is -2 * sum over positions coded k of
+        # (z - e_k), over the 4 elements; row 2 is never picked.
+        z = grid([[1.0], [2.0], [3.0], [5.0]])
+        e = Tensor(np.zeros((3, 1)), requires_grad=True)
+        cb, _ = codebook_losses(z, e, np.array([1, 0, 1, 1]), beta=0.25)
+        cb.backward()
+        np.testing.assert_array_equal(e.grad, [[-1.0], [-4.5], [0.0]])
+
+    def test_each_term_gradchecks_against_its_own_parent(self, rng):
+        # With the codes held fixed, each term's gradient is the true one for
+        # the side it moves: the codebook term for e, the commitment for z.
+        z = grid(rng.normal(0, 1, (6, 3), np.float64), n=2)
+        e = Tensor(rng.normal(0, 1, (4, 3), np.float64), requires_grad=True)
+        codes = np.array([0, 2, 2, 3, 0, 2])
+        for term, wrt in ((0, e), (1, z)):
+            err = finite_diff_grad_check(
+                lambda: codebook_losses(z, e, codes, beta=0.25)[term], [wrt]
+            )
+            assert err < 1e-6
+
+
+class TestMatchesReference:
+    """``quantize`` and ``codebook_losses`` against the same loss built from
+    general tape ops (``reference_vq_losses``): values and gradients
+    bitwise equal, with a 4-row codebook so codes repeat."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal(self, dtype):
+        cfg = VqVaeConfig(codebook_size=4, code_dim=4, channels=(2, 2, 2, 4, 4))
+        model = VqVae(cfg, Rng(21), dtype=dtype)
+        x = Tensor(two_pattern_mels(1, Rng(22))[0][:2, None].astype(dtype))
+
+        def run(build):
+            z_e, z_q, codes, *terms = build()
+            total = terms[0] + terms[1] + terms[2]
+            total.backward()
+            out = [codes, z_q.data, z_e.grad, *(t.data for t in (*terms, total))]
+            out += [p.grad for _, p in sorted(model.params().items())]
+            for p in model.params().values():
+                p.zero_grad()
+            return out
+
+        def fused():
+            z_e = model.encode(x)
+            z_q, codes = quantize(z_e, model.codebook)
+            recon = mse(x, model.decode(z_q))
+            cb, commit = codebook_losses(z_e, model.codebook, codes, cfg.beta)
+            return z_e, z_q, codes, recon, cb, commit
+
+        ours = run(fused)
+        reference = run(lambda: reference_vq_losses(model, x))
+        assert len(np.unique(ours[0])) < len(ours[0])
+        for a, b in zip(ours, reference):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
 
 class TestTraining:
     def test_straight_through_gradient_is_bitwise_copied(self):
-        from serann.coremath.tensor import straight_through
-        from serann.vqvae import unflatten_grid
-
         model = VqVae(VqVaeConfig.desk(), Rng(2))
         mels, _ = two_pattern_mels(1, Rng(3))
         x = Tensor(mels[:2, None, :, :].astype(np.float32))
         z_e = model.encode(x)
-        flat = flatten_grid(z_e)
-        codes = nearest_codes(flat.data, model.codebook.data)
-        z_q_values = unflatten_grid(model.codebook.data[codes], 2, model.config.code_dim)
-        st_node = straight_through(z_e, z_q_values)
-        x_hat = model.decode(st_node)
+        z_q, codes = quantize(z_e, model.codebook)
+        np.testing.assert_array_equal(flatten_grid(z_q).data, model.codebook.data[codes])
+        x_hat = model.decode(z_q)
         diff = x - x_hat
         recon = tensor_sum(mul(diff, diff))
         recon.backward()
-        assert st_node.grad is not None
-        assert z_e.grad.tobytes() == st_node.grad.tobytes()
+        assert z_q.grad is not None
+        assert z_e.grad.tobytes() == z_q.grad.tobytes()
         assert model.codebook.grad is None  # reconstruction path skips the codebook
 
     def test_step_tape_has_one_node_per_conv_layer(self, monkeypatch):
-        # Each of the ten conv layers is one node, its bias and ReLU included.
+        # Each of the ten conv layers is one node, its bias and ReLU included,
+        # and so are the quantized grid and the codebook and commitment terms.
         sizes = []
         backward = Tensor.backward
 
@@ -307,7 +369,7 @@ class TestTraining:
         model = VqVae(VqVaeConfig.desk(), Rng(6))
         mels, _ = two_pattern_mels(1, Rng(5))
         train_step(model, mels[:2, None, :, :], Adam(model.params(), 1e-3))
-        assert sizes == [53]
+        assert sizes == [41]
 
     def test_short_training_reduces_loss(self):
         mels, _ = two_pattern_mels(4, Rng(5))
