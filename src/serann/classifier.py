@@ -5,7 +5,11 @@ Two ReLU conv layers (a wider first kernel, then a narrower one, both stride
 time-major sequence (frequency x channels flattened per frame) and read by a
 bidirectional LSTM. A learned vector scores each timestep, the softmax of
 those scores weights a sum over hidden states, and two dense layers map the
-pooled vector to four class logits.
+pooled vector to four class logits. Every layer is one tape node with a
+hand-written adjoint: the two convolutions, the BiLSTM, the attention
+pooling and the two dense layers. A loss tape holds those six nodes, the
+loss, the input, the parameters, and the transpose and reshape that lay
+the convolution output out as a sequence.
 
 Training follows a plateau schedule: when validation recall fails to improve
 for `patience` consecutive epochs, the learning rate halves and the model
@@ -29,17 +33,7 @@ from .coremath.layers import BiLstm, Conv2d, Dense, xavier_uniform
 from .coremath.ops import conv_output_size, softmax_cross_entropy
 from .coremath.optim import Adam
 from .coremath.rng import Rng
-from .coremath.tensor import (
-    ShapeError,
-    Tensor,
-    matmul,
-    mul,
-    no_grad,
-    reshape,
-    softmax,
-    tensor_sum,
-    transpose,
-)
+from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 
 
 class DegenerateDataError(ValueError):
@@ -99,22 +93,45 @@ class ClassifierConfig:
         return cls(**dict(data))
 
 
-def attention_weights(h: Tensor, w: Tensor) -> Tensor:
-    """Softmax over timesteps of the scores w . h_t for ``h`` (N, T, D);
-    returns (N, T)."""
+def attention_weights(h: Tensor, w: Tensor) -> np.ndarray:
+    """Softmax over timesteps of the scores w . h_t for ``h`` (N, T, D) and
+    ``w`` (D,); returns (N, T) and records no tape."""
     if h.ndim != 3:
         raise ShapeError(f"attention input must be (N, T, D), got {h.shape}")
     n, t, d = h.shape
-    scores = reshape(matmul(reshape(h, (n * t, d)), reshape(w, (d, 1))), (n, t))
-    return softmax(scores, axis=1)
+    if w.shape != (d,):
+        raise ShapeError(f"attention vector shape {w.shape} must be ({d},)")
+    scores = (h.data.reshape(n * t, d) @ w.data.reshape(d, 1)).reshape(n, t)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def attention_pool(h: Tensor, alpha: Tensor) -> Tensor:
-    """Weighted sum over timesteps: sum_t alpha_t * h_t, (N, T, D) -> (N, D)."""
+def attention_pool(h: Tensor, w: Tensor) -> Tensor:
+    """Attention pooling, (N, T, D) -> (N, D): sum_t alpha_t * h_t with the
+    weights alpha of ``attention_weights(h, w)``.
+
+    One tape node. Its adjoint takes every product and sum in the order of
+    the chain of general tape ops it replaces (``reference_attention_pool``
+    in tests/conftest.py), so values and gradients are bitwise equal to it.
+    """
+    alpha = attention_weights(h, w)
     n, t, d = h.shape
-    if alpha.shape != (n, t):
-        raise ShapeError(f"weights shape {alpha.shape} must be ({n}, {t})")
-    return tensor_sum(mul(reshape(alpha, (n, t, 1)), h), axis=1)
+    out_data = (alpha.reshape(n, t, 1) * h.data).sum(axis=1)
+    if not _needs_grad(h, w):
+        return Tensor(out_data)
+
+    def backprop(g):
+        spread = np.broadcast_to(g[:, None, :], h.shape).astype(h.dtype)
+        g_alpha = (spread * h.data).sum(axis=2)
+        g_scores = (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True)) * alpha
+        g_scores = g_scores.reshape(n * t, 1)
+        if h.requires_grad:
+            through_scores = g_scores @ w.data.reshape(d, 1).T
+            h.accumulate_grad(spread * alpha.reshape(n, t, 1) + through_scores.reshape(n, t, d))
+        if w.requires_grad:
+            w.accumulate_grad((h.data.reshape(n * t, d).T @ g_scores).reshape(d))
+
+    return Tensor(out_data, True, (h, w), backprop)
 
 
 class EmotionClassifier(Checkpointable):
@@ -167,8 +184,7 @@ class EmotionClassifier(Checkpointable):
         feat = self.conv2(self.conv1(mels))  # (N, C, H', T)
         seq = reshape(transpose(feat, (0, 3, 1, 2)), (n, self.seq_len, self.seq_dim))
         hidden = self.blstm(seq)  # (N, T, 2U)
-        pooled = attention_pool(hidden, attention_weights(hidden, self.att_w))
-        return self.out(self.fc(pooled))
+        return self.out(self.fc(attention_pool(hidden, self.att_w)))
 
 
 def predict(model: EmotionClassifier, mels: np.ndarray, batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:

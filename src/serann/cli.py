@@ -22,11 +22,9 @@ import numpy as np
 from . import annotate as ann
 from . import dsp, experiments, reports, synthetic, vqvae
 from .classifier import ClassifierConfig
-from .corpus import (
-    LABELS,
-    load_manifest,
-    resolve_audio_path,
-)
+from .coremath.checkpoint import CheckpointError
+from .corpus import LABELS, ManifestError, load_manifest, resolve_audio_path
+from .fileio import JsonlError
 from .vqvae import VqVae, VqVaeConfig
 
 
@@ -50,7 +48,18 @@ def _load_mels_for(records, mels_path) -> dict:
     return mels_by_id
 
 
-@click.group()
+class _Pipeline(click.Group):
+    """Reports a malformed or truncated input file as ``error:`` and exit
+    status 1, whichever command read it."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CheckpointError, JsonlError, ManifestError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Pipeline)
 def main():
     """Speech emotion annotation pipeline."""
 

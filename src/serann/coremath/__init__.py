@@ -26,12 +26,8 @@ from .tensor import (
     add,
     mul,
     neg,
-    matmul,
     no_grad,
-    relu,
     reshape,
-    softmax,
-    tensor_mean,
     tensor_sum,
     transpose,
 )
@@ -62,17 +58,13 @@ __all__ = [
     "add",
     "load_checkpoint",
     "load_into",
-    "matmul",
     "mse",
     "mul",
     "neg",
     "no_grad",
-    "relu",
     "reshape",
     "save_checkpoint",
-    "softmax",
     "softmax_cross_entropy",
-    "tensor_mean",
     "tensor_sum",
     "transpose",
     "xavier_uniform",

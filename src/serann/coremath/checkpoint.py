@@ -56,30 +56,35 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter container (bad magic)")
     off = len(MAGIC)
-    (version,) = struct.unpack_from("<H", raw, off)
-    off += 2
+
+    def take(size: int) -> int:
+        """Start of the next ``size`` bytes, which must all be in the file."""
+        nonlocal off
+        if off + size > len(raw):
+            raise CheckpointError(
+                f"{path}: truncated at byte {len(raw)} (a field needs bytes {off}..{off + size})"
+            )
+        off += size
+        return off - size
+
+    (version,) = struct.unpack_from("<H", raw, take(2))
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
         )
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (count,) = struct.unpack_from("<I", raw, take(4))
     blobs: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = struct.unpack_from("<BB", raw, off)
-        off += 2
+        (name_len,) = struct.unpack_from("<H", raw, take(2))
+        start = take(name_len)
+        name = raw[start : start + name_len].decode("utf-8")
+        code, ndim = struct.unpack_from("<BB", raw, take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: blob {name!r} has unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
+        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
         dtype = _DTYPE_CODES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=off)
-        off += nbytes
+        items = int(np.prod(shape, dtype=np.int64))
+        arr = np.frombuffer(raw, dtype=dtype, count=items, offset=take(items * dtype.itemsize))
         blobs[name] = arr.reshape(shape).copy()
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after last blob")

@@ -1,5 +1,9 @@
 """Layer-level operations: 2-d convolution, its transpose, dense affine maps,
-and softmax cross-entropy.
+softmax cross-entropy and mean squared error.
+
+Every layer is one tape node with a hand-written adjoint, its bias and ReLU
+included (``_epilogue`` and ``_epilogue_grad``, shared by the convolutions
+and ``dense``).
 
 Convolutions take NCHW inputs and FCHW kernels. Strides are (sh, sw) pairs,
 padding is explicit per edge as ((top, bottom), (left, right)); plain ints
@@ -29,8 +33,13 @@ lowering whose kernel gradient contracts a transposed copy of the columns,
 with bias and ReLU as separate ops (``reference_conv2d`` and
 ``reference_conv2d_transpose`` in tests/conftest.py): every GEMM element is
 summed in the same order (see ``_SMALL_GEMM``), and every scatter adds the
-kernel taps in the same (i, j) order. The bias and ReLU ride in the
-convolution's tape node, with a hand-written adjoint.
+kernel taps in the same (i, j) order. The transpose reads its input through
+a C-contiguous copy, so its kernel-gradient bits do not depend on the
+caller's memory layout.
+
+``dense`` and ``mse`` are likewise bitwise equal to the chains of general
+tape ops they replace (``reference_dense`` and ``reference_mse`` in
+tests/conftest.py): each product and sum is taken in the chain's order.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError, Tensor, _needs_grad, relu
+from .tensor import ShapeError, Tensor, _needs_grad
 
 # Samples per chunk of the scattered products are sized so one chunk of
 # columns holds about this many elements (16 MB in float32).
@@ -87,10 +96,10 @@ def _check_epilogue(bias: Tensor | None, channels: int, activation: str | None) 
 
 
 def _epilogue(out: np.ndarray, bias: Tensor | None, activation: str | None) -> None:
-    """Add the per-channel bias to an NCHW map and apply the activation, in
-    place."""
+    """Add the per-channel bias (axis 1) to an (N, C, ...) map and apply the
+    activation, in place."""
     if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1)
+        out += bias.data.reshape((-1,) + (1,) * (out.ndim - 2))
     if activation == "relu":
         np.maximum(out, 0, out=out)
 
@@ -101,7 +110,7 @@ def _epilogue_grad(g: np.ndarray, out: np.ndarray, bias: Tensor | None, activati
     if activation == "relu":
         g = g * (out > 0)
     if bias is not None and bias.requires_grad:
-        bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        bias.accumulate_grad(g.sum(axis=(0, *range(2, g.ndim))))
     return g
 
 
@@ -244,7 +253,7 @@ def conv2d_transpose(
         )
 
     k2 = kernels.data.reshape(f, c * kh * kw)
-    x2 = x.data.reshape(n, f, h * w)
+    x2 = np.ascontiguousarray(x.data).reshape(n, f, h * w)
     buf = np.zeros((n, c, bh, bw), dtype=x.dtype)
     _scatter_products(k2, x2, buf, kh, kw, sh, sw, h, w)
     out_data = buf[:, :, pt : bh - pb, pl : bw - pr].copy()
@@ -268,24 +277,33 @@ def conv2d_transpose(
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str | None = None) -> Tensor:
-    """Affine map over the last axis, optionally followed by ReLU."""
+    """Affine map ``x @ weights + bias`` of an (N, D) batch, optionally
+    followed by ReLU."""
+    if x.ndim != 2:
+        raise ShapeError(f"dense input must be 2-d (N,D), got {x.ndim}-d")
     if weights.ndim != 2:
         raise ShapeError(f"dense weights must be 2-d (D,K), got {weights.ndim}-d")
     d, k = weights.shape
-    if x.shape[-1] != d:
+    if x.shape[1] != d:
         raise ShapeError(
-            f"dense input feature axis ({x.shape[-1]}) does not match weight rows ({d})"
+            f"dense input feature axis ({x.shape[1]}) does not match weight rows ({d})"
         )
     _check_epilogue(bias, k, activation)
 
-    lead = x.shape[:-1]
-    flat = x.reshape((-1, d)) if x.ndim != 2 else x
-    out = (flat @ weights) + bias
-    if x.ndim != 2:
-        out = out.reshape(lead + (k,))
-    if activation == "relu":
-        out = relu(out)
-    return out
+    out_data = x.data @ weights.data
+    _epilogue(out_data, bias, activation)
+    parents = (x, weights, bias)
+    if not _needs_grad(*parents):
+        return Tensor(out_data)
+
+    def backprop(g):
+        g = _epilogue_grad(g, out_data, bias, activation)
+        if x.requires_grad:
+            x.accumulate_grad(g @ weights.data.T)
+        if weights.requires_grad:
+            weights.accumulate_grad(x.data.T @ g)
+
+    return Tensor(out_data, True, parents, backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -327,9 +345,27 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor(out_data, True, (logits,), backprop)
 
 
+def _mean_square_grad(g, diff: np.ndarray) -> np.ndarray:
+    """d mean(diff**2) / d diff for the output gradient ``g``, summed as a
+    tape sums the two operands of diff * diff: s * diff + s * diff, with
+    s = g / diff.size."""
+    grad = (np.asarray(g, dtype=diff.dtype) / diff.size) * diff
+    grad += grad
+    return grad
+
+
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference over all elements."""
     if a.shape != b.shape:
         raise ShapeError(f"mse operands differ in shape: {a.shape} vs {b.shape}")
-    diff = a - b
-    return (diff * diff).mean()
+    diff = a.data - b.data
+    out_data = (diff * diff).mean()
+    if not _needs_grad(a, b):
+        return Tensor(out_data)
+
+    def backprop(g):
+        grad = _mean_square_grad(g, diff)
+        a.accumulate_grad(grad)
+        b.accumulate_grad(-grad)
+
+    return Tensor(out_data, True, (a, b), backprop)

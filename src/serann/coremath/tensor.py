@@ -6,6 +6,11 @@ walks the recorded tape once, in reverse topological order. Gradients are
 accumulated on every node that requires them, intermediates included, so
 training code and tests can inspect any point of the graph.
 
+The primitives here are the few that glue layers together: elementwise
+add, mul and neg (broadcasting), the sum of every element, reshape and
+transpose. Every layer is one tape node with a hand-written adjoint of its
+own (``ops``, ``rnn`` and the classifier's attention pooling).
+
 Graphs are built per step and discarded after ``backward``; parameters are
 long-lived leaves whose ``data`` the optimizer rebinds between steps. Inside a
 ``no_grad()`` scope no tape is recorded at all, for inference.
@@ -119,23 +124,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(_lift(other, self.dtype), neg(self))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS, so graph depth is not bounded by the interpreter's
@@ -240,52 +228,17 @@ def neg(a: Tensor) -> Tensor:
     return Tensor(-a.data, True, (a,), backprop)
 
 
-def relu(a: Tensor) -> Tensor:
-    # Derivative at exactly 0 is 0.
-    out_data = np.maximum(a.data, 0)
-    if not _needs_grad(a):
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g * (a.data > 0))
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
 # -- reductions --------------------------------------------------------
 
 
-def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element."""
+    out_data = a.data.sum()
     if not _needs_grad(a):
         return Tensor(out_data)
 
     def backprop(g):
-        a.accumulate_grad(_restore_axes(g, a.shape, axis, keepdims).astype(a.dtype))
-
-    return Tensor(out_data, True, (a,), backprop)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.size // out_data.size
-    if not _needs_grad(a):
-        return Tensor(out_data)
-
-    def backprop(g):
-        spread = _restore_axes(g, a.shape, axis, keepdims).astype(a.dtype)
-        a.accumulate_grad(spread / count)
+        a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype))
 
     return Tensor(out_data, True, (a,), backprop)
 
@@ -316,39 +269,3 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         a.accumulate_grad(g.transpose(inverse))
 
     return Tensor(out_data, True, (a,), backprop)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(
-            f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape[1]} (axis 1 of left) "
-            f"vs {b.shape[0]} (axis 0 of right)"
-        )
-    out_data = a.data @ b.data
-    if not _needs_grad(a, b):
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(g @ b.data.T)
-        b.accumulate_grad(a.data.T @ g)
-
-    return Tensor(out_data, True, (a, b), backprop)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-    if not _needs_grad(a):
-        return Tensor(out_data)
-
-    def backprop(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a.accumulate_grad((g - inner) * out_data)
-
-    return Tensor(out_data, True, (a,), backprop)
-

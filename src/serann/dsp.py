@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_jsonl, write_jsonl
+from .fileio import read_jsonl, require_fields, write_jsonl
 
 SAMPLE_RATE = 16_000
 N_FFT = 1024
@@ -276,11 +276,13 @@ def write_features(path, features_by_id: dict) -> None:
 
 
 def load_features(path) -> dict:
-    return {
-        record["utterance_id"]: UtteranceFeatures(
-            avg_energy=float(record["avg_energy"]),
-            avg_pitch_hz=float(record["avg_pitch_hz"]),
+    features = {}
+    for lineno, record in read_jsonl(path):
+        uid, energy, pitch = require_fields(
+            path, lineno, record, "utterance_id", "avg_energy", "avg_pitch_hz"
+        )
+        features[uid] = UtteranceFeatures(
+            avg_energy=float(energy), avg_pitch_hz=float(pitch),
             gender=record.get("gender", "unknown"),
         )
-        for _, record in read_jsonl(path)
-    }
+    return features

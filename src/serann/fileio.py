@@ -47,3 +47,12 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise JsonlError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             yield lineno, record
+
+
+def require_fields(path, lineno: int, record, *names: str) -> list:
+    """The values of ``names`` in a record read from line ``lineno`` of
+    ``path``; a missing one is a JsonlError naming the line and the field."""
+    for name in names:
+        if not isinstance(record, dict) or name not in record:
+            raise JsonlError(f"{path}:{lineno}: missing field {name!r}")
+    return [record[name] for name in names]

@@ -29,11 +29,11 @@ import numpy as np
 
 from .coremath.checkpoint import Checkpointable
 from .coremath.layers import Conv2d, ConvTranspose2d
-from .coremath.ops import mse
+from .coremath.ops import _mean_square_grad, conv_output_size, mse
 from .coremath.optim import Adam
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
-from .fileio import read_jsonl, write_jsonl
+from .fileio import read_jsonl, require_fields, write_jsonl
 
 GRID_POSITIONS = 64
 INPUT_BANDS = 80
@@ -84,8 +84,8 @@ class VqVaeConfig:
             )
         h, w = INPUT_BANDS, INPUT_FRAMES
         for (sh, sw), (ph, pw), _ in _LAYER_PLAN:
-            h = (h + 2 * ph - self.kernel) // sh + 1
-            w = (w + 2 * pw - self.kernel) // sw + 1
+            h = conv_output_size(h, self.kernel, sh, 2 * ph)
+            w = conv_output_size(w, self.kernel, sw, 2 * pw)
         if h * w != GRID_POSITIONS:
             raise ValueError(f"encoder grid is {h}x{w}, expected {GRID_POSITIONS} positions")
 
@@ -325,10 +325,7 @@ def quantize(z_e: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
     def backprop(g):
         z_e.accumulate_grad(g)
 
-    # Small GEMMs in the first decoder layer's kernel gradient sum in an
-    # order that depends on the grid's memory layout; training keeps the
-    # C-contiguous grid its bits were fixed with.
-    return Tensor(np.ascontiguousarray(values), True, (z_e,), backprop), codes
+    return Tensor(values, True, (z_e,), backprop), codes
 
 
 def codebook_losses(
@@ -348,20 +345,13 @@ def codebook_losses(
     square = (diff * diff).mean()
     beta = np.asarray(beta, dtype=z_e.dtype)
 
-    def square_grad(g):
-        # d mean(diff**2) / d diff, summed as the tape sums the two operands
-        # of diff * diff: s * diff + s * diff.
-        grad = (np.asarray(g, dtype=diff.dtype) / diff.size) * diff
-        grad += grad
-        return grad
-
     def codebook_backprop(g):
         rows = np.zeros_like(codebook.data)
-        np.add.at(rows, codes, -square_grad(g))
+        np.add.at(rows, codes, -_mean_square_grad(g, diff))
         codebook.accumulate_grad(rows)
 
     def commitment_backprop(g):
-        grad = square_grad(g * beta)
+        grad = _mean_square_grad(g * beta, diff)
         z_e.accumulate_grad(grad.reshape(n, h, w, d).transpose(0, 3, 1, 2))
 
     codebook_term = (
@@ -421,8 +411,7 @@ def reconstruction_loss(model: VqVae, mels: np.ndarray, batch_size: int = 32) ->
     total = 0.0
     for x, z_q, _ in _quantized_batches(model, mels, batch_size):
         with no_grad():
-            x_hat = model.decode(z_q)
-        total += float(((x.data - x_hat.data) ** 2).mean()) * len(x.data)
+            total += float(mse(x, model.decode(z_q)).data) * len(x.data)
     return total / len(mels)
 
 
@@ -496,7 +485,8 @@ def write_codes(path, codes_by_id: Mapping[str, Sequence[int]]) -> None:
 
 
 def load_codes(path) -> dict[str, list[int]]:
-    return {
-        record["utterance_id"]: [int(c) for c in record["codes"]]
-        for _, record in read_jsonl(path)
-    }
+    codes = {}
+    for lineno, record in read_jsonl(path):
+        uid, row = require_fields(path, lineno, record, "utterance_id", "codes")
+        codes[uid] = [int(c) for c in row]
+    return codes

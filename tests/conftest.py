@@ -7,6 +7,7 @@ import pytest
 from serann import dsp, synthetic
 from serann.corpus import LABEL_INDEX, load_manifest, resolve_audio_path
 from serann.coremath.rng import Rng
+from serann.coremath.tensor import Tensor, _needs_grad, mul, reshape
 
 ACCEPTANCE_CRITERIA = {
     1: "gradient suite: every differentiable op within 1e-4 of central differences, under 60 s",
@@ -69,20 +70,116 @@ def _reference_scatter(cols, buf, kh, kw, sh, sw, oh, ow):
             buf[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
 
 
-def _reference_epilogue(out, bias, activation):
-    from serann.coremath.tensor import relu, reshape
+# -- general tape ops ----------------------------------------------------
+# The primitives that layers were chains of before each became one tape node,
+# as they were in serann.coremath.tensor. The chains built from them below
+# are the oracle the fused ops must match bit for bit.
 
+
+def reference_relu(a):
+    # Derivative at exactly 0 is 0.
+    out_data = np.maximum(a.data, 0)
+    if not _needs_grad(a):
+        return Tensor(out_data)
+
+    def backprop(g):
+        a.accumulate_grad(g * (a.data > 0))
+
+    return Tensor(out_data, True, (a,), backprop)
+
+
+def reference_matmul(a, b):
+    out_data = a.data @ b.data
+    if not _needs_grad(a, b):
+        return Tensor(out_data)
+
+    def backprop(g):
+        a.accumulate_grad(g @ b.data.T)
+        b.accumulate_grad(a.data.T @ g)
+
+    return Tensor(out_data, True, (a, b), backprop)
+
+
+def reference_softmax(a, axis=-1):
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+    if not _needs_grad(a):
+        return Tensor(out_data)
+
+    def backprop(g):
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        a.accumulate_grad((g - inner) * out_data)
+
+    return Tensor(out_data, True, (a,), backprop)
+
+
+def _restore_axes(g, shape, axis, keepdims):
+    if axis is None:
+        return np.broadcast_to(g, shape)
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    axes = tuple(a % len(shape) for a in axes)
+    if not keepdims:
+        for a in sorted(axes):
+            g = np.expand_dims(g, a)
+    return np.broadcast_to(g, shape)
+
+
+def reference_tensor_sum(a, axis=None, keepdims=False):
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _needs_grad(a):
+        return Tensor(out_data)
+
+    def backprop(g):
+        a.accumulate_grad(_restore_axes(g, a.shape, axis, keepdims).astype(a.dtype))
+
+    return Tensor(out_data, True, (a,), backprop)
+
+
+def reference_tensor_mean(a, axis=None, keepdims=False):
+    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size if axis is None else a.data.size // out_data.size
+    if not _needs_grad(a):
+        return Tensor(out_data)
+
+    def backprop(g):
+        spread = _restore_axes(g, a.shape, axis, keepdims).astype(a.dtype)
+        a.accumulate_grad(spread / count)
+
+    return Tensor(out_data, True, (a,), backprop)
+
+
+def reference_dense(x, weights, bias, activation=None):
+    """``ops.dense`` as a matmul, a broadcast add and a ReLU node."""
+    out = reference_matmul(x, weights) + bias
+    return reference_relu(out) if activation == "relu" else out
+
+
+def reference_attention_pool(h, w):
+    """``classifier.attention_pool`` as eight nodes: scores by matmul, a
+    softmax over time, then a weighted sum over time."""
+    n, t, d = h.shape
+    scores = reshape(reference_matmul(reshape(h, (n * t, d)), reshape(w, (d, 1))), (n, t))
+    alpha = reference_softmax(scores, axis=1)
+    return reference_tensor_sum(mul(reshape(alpha, (n, t, 1)), h), axis=1)
+
+
+def reference_mse(a, b):
+    """``ops.mse`` as a difference, a product and a mean node."""
+    diff = a - b
+    return reference_tensor_mean(diff * diff)
+
+
+def _reference_epilogue(out, bias, activation):
     if bias is not None:
         out = out + reshape(bias, (1, bias.shape[0], 1, 1))
-    return relu(out) if activation == "relu" else out
+    return reference_relu(out) if activation == "relu" else out
 
 
 def reference_conv2d(x, kernels, stride, padding, bias=None, activation=None):
     """Unchunked im2col lowering with a ``tensordot`` kernel gradient, bias
     and ReLU as separate tape ops. ``stride`` is an (sh, sw) pair and
     ``padding`` ((top, bottom), (left, right))."""
-    from serann.coremath.tensor import Tensor
-
     n, c, h, w = x.shape
     f, _, kh, kw = kernels.shape
     sh, sw = stride
@@ -111,8 +208,6 @@ def reference_conv2d(x, kernels, stride, padding, bias=None, activation=None):
 def reference_conv2d_transpose(x, kernels, stride, padding, output_padding, bias=None, activation=None):
     """The adjoint lowering of ``reference_conv2d``, same conventions, with
     ``output_padding`` an (h, w) pair."""
-    from serann.coremath.tensor import Tensor
-
     n, f, h, w = x.shape
     _, c, kh, kw = kernels.shape
     sh, sw = stride
@@ -139,14 +234,10 @@ def reference_conv2d_transpose(x, kernels, stride, padding, output_padding, bias
 
 
 def _stop_gradient(a):
-    from serann.coremath.tensor import Tensor
-
     return Tensor(a.data.copy())
 
 
 def _straight_through(carrier, values):
-    from serann.coremath.tensor import Tensor
-
     def backprop(g):
         carrier.accumulate_grad(g)
 
@@ -154,8 +245,6 @@ def _straight_through(carrier, values):
 
 
 def _gather_rows(table, idx):
-    from serann.coremath.tensor import Tensor
-
     def backprop(g):
         buf = np.zeros_like(table.data)
         np.add.at(buf, idx, g)
@@ -168,8 +257,6 @@ def reference_vq_losses(model, x):
     """One VQ-VAE loss built from general tape ops: a gradient-blocking copy,
     a straight-through value swap and a scatter-adding row lookup. Returns
     ``(z_e, z_q, codes, recon, codebook_term, commitment_term)``."""
-    from serann.coremath.ops import mse
-    from serann.coremath.tensor import Tensor, mul
     from serann.vqvae import flatten_grid, nearest_codes
 
     z_e = model.encode(x)
@@ -179,10 +266,10 @@ def reference_vq_losses(model, x):
     n, d, h, w = z_e.shape
     z_q_values = model.codebook.data[codes].reshape(n, h, w, d).transpose(0, 3, 1, 2)
     z_q = _straight_through(z_e, z_q_values)
-    recon = mse(x, model.decode(z_q))
-    codebook_term = mse(_stop_gradient(flat), e_selected)
+    recon = reference_mse(x, model.decode(z_q))
+    codebook_term = reference_mse(_stop_gradient(flat), e_selected)
     beta = Tensor(np.asarray(model.config.beta, dtype=z_e.dtype))
-    commitment_term = mul(beta, mse(flat, _stop_gradient(e_selected)))
+    commitment_term = mul(beta, reference_mse(flat, _stop_gradient(e_selected)))
     return z_e, z_q, codes, recon, codebook_term, commitment_term
 
 
@@ -203,8 +290,6 @@ def tape_nodes(root):
 def taped_tensors(monkeypatch):
     """Every Tensor built with tape parents or a backprop closure while the
     test runs, in construction order."""
-    from serann.coremath.tensor import Tensor
-
     taped = []
     init = Tensor.__init__
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ def test_unknown_version_rejected(tmp_path, blobs):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointVersionError, match="99"):
         load_checkpoint(path)
+
+
+def test_file_cut_at_any_byte_names_the_file(tmp_path):
+    # A 0-d blob, an empty blob and a small matrix: every field kind.
+    path = tmp_path / "model.serann"
+    save_checkpoint(path, {"a": np.float32(1.5), "b": np.zeros((0, 3)), "c": np.ones((2, 3))})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.serann"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(CheckpointError, match=re.escape(str(cut))):
+            load_checkpoint(cut)
 
 
 def test_load_into_checks_names_and_shapes(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import tape_nodes
+from conftest import reference_attention_pool, reference_dense, tape_nodes
+from serann import classifier
 from serann.classifier import (
     DECAY,
     IMPROVED,
@@ -18,7 +19,17 @@ from serann.classifier import (
     train,
     train_epoch,
 )
-from serann.coremath import Adam, Rng, Tensor, finite_diff_grad_check, softmax_cross_entropy
+from serann.coremath import (
+    Adam,
+    Rng,
+    ShapeError,
+    Tensor,
+    finite_diff_grad_check,
+    layers,
+    mul,
+    softmax_cross_entropy,
+    tensor_sum,
+)
 from serann.coremath.checkpoint import save_checkpoint
 
 
@@ -67,11 +78,32 @@ class TestForward:
         np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
 
     def test_loss_tape_has_one_node_per_conv_layer(self, corpus_arrays):
-        # Each conv layer is one node, its bias and ReLU included.
+        # Each layer is one node, its bias and ReLU included: 9 nodes past
+        # the input and the 15 parameters.
         x, y = corpus_arrays
         model = EmotionClassifier(ClassifierConfig.desk(), Rng(0))
         loss = softmax_cross_entropy(model.forward(Tensor(x[:2, None, :, :])), y[:2])
-        assert tape_nodes(loss) == 35
+        assert tape_nodes(loss) == 25
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradients_match_reference_chains_bitwise(self, corpus_arrays, monkeypatch, dtype):
+        x, y = corpus_arrays
+        model = EmotionClassifier(ClassifierConfig.desk(), Rng(8), dtype=dtype)
+        inputs = Tensor(x[:5, None, :, :].astype(dtype))
+
+        def step():
+            loss = softmax_cross_entropy(model.forward(inputs), y[:5])
+            loss.backward()
+            out = [loss.data] + [p.grad for _, p in sorted(model.params().items())]
+            for p in model.params().values():
+                p.zero_grad()
+            return out
+
+        fused = step()
+        monkeypatch.setattr(classifier, "attention_pool", reference_attention_pool)
+        monkeypatch.setattr(layers, "dense", reference_dense)
+        for a, b in zip(fused, step()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_wrong_shape_rejected(self, desk_model):
         from serann.coremath import ShapeError
@@ -100,51 +132,82 @@ class TestAttention:
     def test_identical_states_uniform_weights(self):
         h = Tensor(np.tile([1.0, 2.0, 3.0], (1, 5, 1)))
         alpha = attention_weights(h, Tensor(np.array([0.3, -0.2, 0.1])))
-        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(alpha, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_log2_margin_gives_two_thirds(self):
         # scores [ln 2, 0] -> weights [2/3, 1/3]
         h = Tensor(np.array([[[np.log(2.0)], [0.0]]]))
         alpha = attention_weights(h, Tensor(np.array([1.0])))
-        np.testing.assert_allclose(alpha.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+        np.testing.assert_allclose(alpha, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_weights_sum_to_one(self, rng):
         h = Tensor(rng.normal(0, 2, (1, 9, 6), np.float64))
         w = Tensor(rng.normal(0, 1, (6,), np.float64))
         alpha = attention_weights(h, w)
-        assert abs(float(alpha.data.sum()) - 1.0) < 1e-6
-        assert np.all(alpha.data > 0) and np.all(alpha.data < 1)
+        assert abs(float(alpha.sum()) - 1.0) < 1e-6
+        assert np.all(alpha > 0) and np.all(alpha < 1)
 
     def test_one_hot_selects_state(self, rng):
-        h = Tensor(rng.normal(0, 1, (1, 4, 3), np.float64))
-        alpha = Tensor(np.array([[0.0, 0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data[:, 2], atol=1e-12)
+        # A score of 1000 overflows exp unless the largest score is taken
+        # off first; the other weights round to 0.
+        h = Tensor(np.concatenate([rng.normal(0, 1, (1, 4, 3), np.float64),
+                                   [[[0.0], [0.0], [1000.0], [0.0]]]], axis=2))
+        pooled = attention_pool(h, Tensor(np.array([0.0, 0.0, 0.0, 1.0])))
+        np.testing.assert_allclose(pooled.data, h.data[:, 2], atol=1e-12)
 
     def test_hand_weighted_sum(self):
+        # scores [ln 2, 0] -> weights [2/3, 1/3] on states (3, 0) and (0, 3)
         h = Tensor(np.array([[[3.0, 0.0], [0.0, 3.0]]]))
-        alpha = Tensor(np.array([[2.0 / 3.0, 1.0 / 3.0]]))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, [[2.0, 1.0]], atol=1e-12)
+        w = Tensor(np.array([np.log(2.0) / 3.0, 0.0]))
+        np.testing.assert_allclose(attention_pool(h, w).data, [[2.0, 1.0]], atol=1e-12)
 
     def test_uniform_weights_give_mean(self, rng):
         h = Tensor(rng.normal(0, 1, (1, 6, 4), np.float64))
-        alpha = Tensor(np.full((1, 6), 1.0 / 6.0))
-        np.testing.assert_allclose(attention_pool(h, alpha).data, h.data.mean(axis=1), atol=1e-12)
+        pooled = attention_pool(h, Tensor(np.zeros(4)))
+        np.testing.assert_allclose(pooled.data, h.data.mean(axis=1), atol=1e-12)
 
     def test_pool_stays_in_convex_hull(self, rng):
         h = rng.normal(0, 1, (1, 7, 5), np.float64)
-        alpha = attention_weights(Tensor(h), Tensor(rng.normal(0, 1, (5,), np.float64)))
-        pooled = attention_pool(Tensor(h), alpha).data
+        pooled = attention_pool(Tensor(h), Tensor(rng.normal(0, 1, (5,), np.float64))).data
         assert np.all(pooled <= h.max(axis=1) + 1e-12)
         assert np.all(pooled >= h.min(axis=1) - 1e-12)
 
     def test_batch_rows_pooled_independently(self, rng):
         h = Tensor(rng.normal(0, 1, (3, 5, 4), np.float64))
         w = Tensor(rng.normal(0, 1, (4,), np.float64))
-        pooled = attention_pool(h, attention_weights(h, w)).data
+        pooled = attention_pool(h, w).data
         for i in range(3):
-            row = Tensor(h.data[i : i + 1])
-            alone = attention_pool(row, attention_weights(row, w)).data
+            alone = attention_pool(Tensor(h.data[i : i + 1]), w).data
             np.testing.assert_allclose(pooled[i : i + 1], alone, atol=1e-12)
+
+    def test_vector_shape_checked(self):
+        with pytest.raises(ShapeError, match="attention vector"):
+            attention_pool(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(2)))
+
+    # (N, T, D) of the BiLSTM output the classifier pools, desk and paper.
+    @pytest.mark.parametrize("shape", [(16, 64, 16), (32, 64, 256)], ids=["desk", "paper"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_chain_bitwise(self, shape, dtype):
+        gen = np.random.default_rng(31)
+        draws = [gen.normal(size=shape), gen.normal(0, 0.3, shape[2])]
+        weights = gen.normal(size=(shape[0], shape[2])).astype(dtype)
+        for h_grad in (False, True):
+            runs = []
+            for fn in (attention_pool, reference_attention_pool):
+                h, w = (Tensor(a.astype(dtype), requires_grad=True) for a in draws)
+                h.requires_grad = h_grad
+                out = fn(h, w)
+                tensor_sum(mul(out, Tensor(weights))).backward()
+                runs.append([out.data, h.grad, w.grad])
+            for a, b in zip(*runs):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_one_tape_node(self, taped_tensors, rng):
+        h = Tensor(rng.normal(0, 1, (2, 3, 4), np.float64), requires_grad=True)
+        out = attention_pool(h, Tensor(rng.normal(0, 1, (4,), np.float64), requires_grad=True))
+        assert taped_tensors == [out]
 
 
 class TestPlateauSchedule:

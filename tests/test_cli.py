@@ -223,6 +223,72 @@ class TestFailures:
         assert list(tmp_path.iterdir()) == []
 
 
+def assert_error_line(result, *fragments):
+    """Exit status 1 with an ``error:`` line naming ``fragments``, and no
+    exception escaping the command (which would print a traceback)."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    line = next(line for line in result.output.splitlines() if line.startswith("error: "))
+    for fragment in fragments:
+        assert fragment in line
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command, cut_name, size", [
+        ("encode", "vq.serann", 20),
+        ("train-vqvae", "mels.serann", 30),
+        ("train-classifier", "mels.serann", 30),
+    ])
+    def test_truncated_container_names_the_file(self, pipeline_dir, tmp_path, command, cut_name, size):
+        files = {name: str(pipeline_dir / name) for name in ("mels.serann", "vq.serann")}
+        cut = tmp_path / cut_name
+        cut.write_bytes((pipeline_dir / cut_name).read_bytes()[:size])
+        sidecar = pipeline_dir / (cut_name + ".config.json")
+        if sidecar.exists():
+            (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
+        files[cut_name] = str(cut)
+        args = {
+            "encode": ["--checkpoint", files["vq.serann"], "--out", str(tmp_path / "c.jsonl")],
+            "train-vqvae": ["--out", str(tmp_path / "x.serann"), "--desk-scale", "--epochs", "1"],
+            "train-classifier": ["--out", str(tmp_path / "r.json"), "--desk-scale",
+                                 "--max-epochs", "1", "--repeats", "1", "--folds", "fixed"],
+        }[command]
+        result = CliRunner().invoke(main, [
+            command, "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", files["mels.serann"], *args,
+        ])
+        assert_error_line(result, str(cut), "truncated")
+
+    def test_manifest_line_missing_fields(self, pipeline_dir, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"utterance_id": "u1", "audio_path": "a.wav"}\n')
+        result = CliRunner().invoke(main, [
+            "features", "--manifest", str(manifest),
+            "--out", str(tmp_path / "f.jsonl"), "--mels-out", str(tmp_path / "m.serann"),
+        ])
+        assert_error_line(result, f"{manifest}:1", "missing required fields")
+
+    @pytest.mark.parametrize("option, source, line, expected", [
+        ("--features", "features.jsonl", "not json", "invalid JSON"),
+        ("--features", "features.jsonl", '{"utterance_id": "x", "avg_pitch_hz": 1.0}',
+         "missing field 'avg_energy'"),
+        ("--codes", "codes.jsonl", '{"utterance_id": "x"}', "missing field 'codes'"),
+    ])
+    def test_bad_context_file_line(self, pipeline_dir, tmp_path, option, source, line, expected):
+        bad = tmp_path / source
+        good = (pipeline_dir / source).read_text().splitlines()
+        bad.write_text("\n".join(good[:2] + [line] + good[2:]) + "\n")
+        context = {"--features": str(pipeline_dir / "features.jsonl"),
+                   "--codes": str(pipeline_dir / "codes.jsonl"), option: str(bad)}
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--variant", "full", "--backend", "mock:oracle",
+            *(arg for pair in context.items() for arg in pair), "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert_error_line(result, f"{bad}:3", expected)
+        assert not (tmp_path / "a.jsonl").exists()
+
+
 def invalid_run(tmp_path, *args, config=None):
     """Run a command whose outputs go to ``tmp_path/out``; returns the result
     and what that directory holds afterwards."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_conv2d, reference_conv2d_transpose
+from conftest import reference_conv2d, reference_conv2d_transpose, reference_dense, reference_mse
 from serann.coremath import (
     Conv2d,
     ConvTranspose2d,
@@ -15,7 +15,6 @@ from serann.coremath import (
     mse,
     mul,
     ops,
-    softmax,
     softmax_cross_entropy,
     tensor_sum,
 )
@@ -154,6 +153,24 @@ class TestConvTranspose:
             [x, k, b],
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("n, d, c", [(2, 4, 2), (3, 8, 4)])
+    def test_bits_independent_of_input_layout(self, n, d, c):
+        # The quantized grid reaches the decoder as a transposed view of the
+        # selected codebook rows; small kernel-gradient GEMMs would sum in
+        # an order that depends on that layout.
+        gen = np.random.default_rng(37)
+        view = gen.normal(size=(n, 1, 64, d)).astype(np.float32).transpose(0, 3, 1, 2)
+        kernel = gen.normal(0, 0.5, (d, c, 3, 3)).astype(np.float32)
+        weights = gen.normal(size=(n, c, 5, 64)).astype(np.float32)
+
+        def run(values):
+            x, k = Tensor(values, requires_grad=True), Tensor(kernel, requires_grad=True)
+            out = conv2d_transpose(x, k, (5, 1), (0, 1), (2, 0))
+            tensor_sum(mul(out, Tensor(weights))).backward()
+            return [out.data, x.grad, k.grad]
+
+        assert_same_bits(run(view), run(np.ascontiguousarray(view)))
 
 
 # Every convolution layer of the desk classifier and the desk VQ-VAE, plus
@@ -317,10 +334,10 @@ class TestDense:
         out = dense(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), activation="relu")
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
-    def test_leading_axes_preserved(self, rng):
+    def test_leading_axes_rejected(self, rng):
         x = Tensor(rng.normal(0, 1, (2, 5, 3), np.float64))
-        out = dense(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
-        assert out.shape == (2, 5, 4)
+        with pytest.raises(ShapeError, match="2-d"):
+            dense(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError, match="feature axis"):
@@ -356,8 +373,8 @@ class TestSoftmaxCrossEntropy:
         label = np.array([3])
         loss = softmax_cross_entropy(z, label)
         loss.backward()
-        probs = softmax(Tensor(z.data), axis=1).data
-        expected = probs.copy()
+        e = np.exp(z.data - z.data.max())
+        expected = e / e.sum()
         expected[0, 3] -= 1.0
         np.testing.assert_allclose(z.grad, expected, atol=1e-12)
 
@@ -389,3 +406,55 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
+def grads_of(fn, leaves, dtype):
+    """``fn(*leaves)`` and every leaf's gradient of a weighted sum of it,
+    from fixed weights."""
+    out = fn(*leaves)
+    weights = np.random.default_rng(19).normal(size=out.shape).astype(dtype)
+    tensor_sum(mul(out, Tensor(weights))).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestFusedMatchesReference:
+    """``dense`` and ``mse``, each one tape node, against the chains of
+    general tape ops they replace: output and every gradient bit equal."""
+
+    # (batch, in, out) of the classifier's two dense layers, desk and paper.
+    DENSE_SHAPES = {
+        "desk.fc": (16, 16, 16), "desk.out": (16, 16, 4),
+        "paper.fc": (32, 256, 128), "paper.out": (32, 128, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(DENSE_SHAPES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense(self, name, dtype):
+        n, d, k = self.DENSE_SHAPES[name]
+        gen = np.random.default_rng(23)
+        draws = [gen.normal(size=(n, d)), gen.normal(0, 0.3, (d, k)), gen.normal(0, 0.3, k)]
+        for activation in (None, "relu"):
+            for x_grad in (False, True):
+                runs = []
+                for fn in (dense, reference_dense):
+                    x, w, b = (Tensor(a.astype(dtype), requires_grad=True) for a in draws)
+                    x.requires_grad = x_grad
+                    runs.append(grads_of(lambda *t: fn(*t, activation), [x, w, b], dtype))
+                assert_same_bits(*runs)
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mse(self, batch, dtype):
+        gen = np.random.default_rng(29)
+        draws = [gen.normal(size=(batch, 1, 80, 256)) for _ in range(2)]
+        runs = []
+        for fn in (mse, reference_mse):
+            a, b = (Tensor(x.astype(dtype), requires_grad=True) for x in draws)
+            runs.append(grads_of(fn, [a, b], dtype))
+        assert_same_bits(*runs)
+
+    def test_each_is_one_tape_node(self, taped_tensors, rng):
+        x, w, b = leaf((3, 4), rng), leaf((4, 2), rng), leaf((2,), rng)
+        out = dense(x, w, b, "relu")
+        loss = mse(out, Tensor(np.zeros((3, 2))))
+        assert taped_tensors == [out, loss]

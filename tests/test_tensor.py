@@ -14,19 +14,16 @@ from serann.coremath import (
     conv2d_transpose,
     dense,
     finite_diff_grad_check,
-    matmul,
     mse,
     mul,
     neg,
     no_grad,
-    relu,
     reshape,
-    softmax,
     softmax_cross_entropy,
-    tensor_mean,
     tensor_sum,
     transpose,
 )
+from serann.classifier import attention_pool
 from serann.vqvae import codebook_losses, quantize
 
 
@@ -40,34 +37,15 @@ def scalarize(t):
 
 
 class TestPrimitiveGradients:
-    @pytest.mark.parametrize(
-        "op",
-        [relu, lambda t: softmax(t, axis=-1)],
-        ids=["relu", "softmax"],
-    )
-    def test_unary_ops(self, op, rng):
-        x = leaf((3, 4), rng)
-        x.data += 0.05 * np.sign(x.data)  # keep relu probes away from the kink
-        err = finite_diff_grad_check(lambda: scalarize(op(x)), [x])
-        assert err < 1e-6
-
     def test_broadcast_add_mul(self, rng):
         a = leaf((2, 3, 4), rng)
         b = leaf((3, 1), rng)
         err = finite_diff_grad_check(lambda: scalarize((a + b) * b), [a, b])
         assert err < 1e-6
 
-    def test_matmul(self, rng):
-        a = leaf((3, 4), rng)
-        b = leaf((4, 2), rng)
-        err = finite_diff_grad_check(lambda: scalarize(matmul(a, b)), [a, b])
-        assert err < 1e-6
-
     def test_reductions(self, rng):
         x = leaf((3, 4), rng)
-        err = finite_diff_grad_check(
-            lambda: tensor_sum(mul(tensor_mean(x, axis=1), tensor_mean(x, axis=1))), [x]
-        )
+        err = finite_diff_grad_check(lambda: tensor_sum(mul(x, x)), [x])
         assert err < 1e-6
 
     def test_structure_ops(self, rng):
@@ -80,19 +58,6 @@ class TestPrimitiveGradients:
 
         err = finite_diff_grad_check(fn, [x])
         assert err < 1e-6
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        x = Tensor(rng.normal(0, 3, (10, 7), np.float64))
-        out = softmax(x, axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_shift_invariance(self, rng):
-        x = rng.normal(0, 1, (4, 5), np.float64)
-        a = softmax(Tensor(x), axis=1).data
-        b = softmax(Tensor(x + 1000.0), axis=1).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestTensorBasics:
@@ -111,22 +76,18 @@ class TestTensorBasics:
         t = Tensor([1, 2, 3])
         assert t.dtype == np.float32
 
-    def test_matmul_shape_errors_name_axes(self):
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
 
 def every_op(rng):
     """A thunk applying every tape-recording op to leaves that require grad."""
-    a, b, bias = leaf((3, 4), rng), leaf((4, 2), rng), leaf((2,), rng)
+    a, b, bias, w = leaf((3, 4), rng), leaf((4, 2), rng), leaf((2,), rng), leaf((4,), rng)
     img, kern, tkern = leaf((2, 1, 6, 5), rng), leaf((3, 1, 3, 3), rng), leaf((3, 2, 3, 3), rng)
     seq = leaf((2, 3, 4), rng)
     lstm = LstmParams(leaf((4, 8), rng), leaf((2, 8), rng), leaf((8,), rng))
     conv_bias = leaf((3,), rng)
     grid = leaf((2, 4, 1, 3), rng)
     return lambda: [
-        add(a, a), mul(a, a), neg(a), relu(a), tensor_sum(a), tensor_mean(a, axis=0),
-        reshape(a, (4, 3)), transpose(a, (1, 0)), matmul(a, b), softmax(a),
+        add(a, a), mul(a, a), neg(a), tensor_sum(a), reshape(a, (4, 3)), transpose(a, (1, 0)),
+        attention_pool(seq, w),
         quantize(grid, a)[0], *codebook_losses(grid, a, np.array([2, 0, 2, 1, 0, 2]), 0.25),
         conv2d(img, kern, padding=1), conv2d_transpose(conv2d(img, kern), tkern, stride=2),
         conv2d(img, kern, 1, 1, conv_bias, "relu"),

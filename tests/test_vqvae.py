@@ -357,7 +357,8 @@ class TestTraining:
 
     def test_step_tape_has_one_node_per_conv_layer(self, monkeypatch):
         # Each of the ten conv layers is one node, its bias and ReLU included,
-        # and so are the quantized grid and the codebook and commitment terms.
+        # and so are the quantized grid, the reconstruction error and the
+        # codebook and commitment terms.
         sizes = []
         backward = Tensor.backward
 
@@ -369,7 +370,7 @@ class TestTraining:
         model = VqVae(VqVaeConfig.desk(), Rng(6))
         mels, _ = two_pattern_mels(1, Rng(5))
         train_step(model, mels[:2, None, :, :], Adam(model.params(), 1e-3))
-        assert sizes == [41]
+        assert sizes == [38]
 
     def test_short_training_reduces_loss(self):
         mels, _ = two_pattern_mels(4, Rng(5))
