@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..corpus import UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
 from ..dsp import UtteranceFeatures
-from ..fileio import read_jsonl, write_jsonl
+from ..fileio import read_jsonl, require_fields, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     TEMPLATE_VERSION,
@@ -59,6 +59,10 @@ class AnnotationResult:
         return dict(vars(self))
 
 
+_RESULT_FIELDS = tuple(field.name for field in fields(AnnotationResult))
+_RESULT_KEYS = frozenset(_RESULT_FIELDS)  # lets the cache loader check a record in one pass
+
+
 class AnnotationCache:
     """Append-only JSONL keyed by (backend id, prompt hash), so a shared
     file never answers one backend with another's replies. Lookups and
@@ -68,8 +72,8 @@ class AnnotationCache:
 
     A final line cut short by an interrupted append is dropped on load (and
     counted in ``dropped``); the file is truncated back to its last complete
-    record so appends start on a fresh line. A malformed line anywhere else
-    is an error.
+    record so appends start on a fresh line. A malformed line anywhere else,
+    or a record that lacks a field, is an error.
     """
 
     def __init__(self, path):
@@ -80,7 +84,9 @@ class AnnotationCache:
         self.dropped = 0
         if self.path.exists():
             self.dropped = _drop_torn_tail(self.path)
-            for _, record in read_jsonl(self.path):
+            for lineno, record in read_jsonl(self.path):
+                if not (isinstance(record, dict) and record.keys() >= _RESULT_KEYS):
+                    require_fields(self.path, lineno, record, *_RESULT_FIELDS)
                 self._entries[record["backend_id"], record["prompt_hash"]] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -292,7 +298,11 @@ def write_annotations(path, results: Sequence[AnnotationResult]) -> None:
 
 
 def load_annotations(path) -> dict[str, AnnotationResult]:
-    return {record["utterance_id"]: AnnotationResult(**record) for _, record in read_jsonl(path)}
+    results = (
+        AnnotationResult(*require_fields(path, lineno, record, *_RESULT_FIELDS))
+        for lineno, record in read_jsonl(path)
+    )
+    return {result.utterance_id: result for result in results}
 
 
 def apply_annotations(

@@ -6,15 +6,16 @@ code sequences, ``annotate`` produces labels, and the two training commands
 emit schema-versioned JSON reports. Commands never mutate their inputs and
 exit non-zero if any per-record failure occurred.
 
+Errors: every command reports a bad input file or setting as one
+``error: <message>`` line on stderr and exit status 1 (see ``_Pipeline``).
+
 Configuration precedence: explicit flags > --config file > built-in
 defaults. The effective configuration is echoed (hashed) into every report.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -22,17 +23,9 @@ import numpy as np
 from . import annotate as ann
 from . import dsp, experiments, reports, synthetic, vqvae
 from .classifier import ClassifierConfig
-from .coremath.checkpoint import CheckpointError
-from .corpus import LABELS, ManifestError, load_manifest, resolve_audio_path
-from .fileio import JsonlError
+from .corpus import LABELS, load_manifest, resolve_audio_path
+from .fileio import read_json
 from .vqvae import VqVae, VqVaeConfig
-
-
-def _config_section(path, section: str) -> dict:
-    """The ``section`` of a --config JSON file; empty without one."""
-    if path is None:
-        return {}
-    return dict(json.loads(Path(path).read_text()).get(section, {}))
 
 
 def _fail(message: str) -> None:
@@ -40,8 +33,25 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-def _load_mels_for(records, mels_path) -> dict:
-    mels_by_id = dsp.load_mel_cache(mels_path)
+def _model_config(config_type, section: str, desk_scale: bool, config_path, **overrides):
+    """Defaults (desk profile if ``desk_scale``) < --config ``section`` < set ``overrides``."""
+    values = read_json(config_path).get(section, {}) if config_path else {}
+    if not isinstance(values, dict):
+        _fail(f"{config_path}: section {section!r} must be a JSON object")
+    base = config_type.desk() if desk_scale else config_type()
+    merged = {**base.to_json(), **values}
+    merged.update((name, value) for name, value in overrides.items() if value is not None)
+    try:
+        return config_type.from_json(merged)
+    except (TypeError, ValueError) as exc:
+        _fail(f"invalid {section} config: {exc}")
+
+
+def _load_mels_for(records, *mels_paths) -> dict:
+    """The merged mel caches, later ones winning; each record must have a mel."""
+    mels_by_id = {}
+    for path in mels_paths:
+        mels_by_id.update(dsp.load_mel_cache(path))
     missing = [r.utterance_id for r in records if r.utterance_id not in mels_by_id]
     if missing:
         _fail(f"mel cache is missing {len(missing)} records (first: {missing[0]!r})")
@@ -49,13 +59,18 @@ def _load_mels_for(records, mels_path) -> dict:
 
 
 class _Pipeline(click.Group):
-    """Reports a malformed or truncated input file as ``error:`` and exit
-    status 1, whichever command read it."""
+    """The one error boundary: a serann input error (a ``ValueError``), a
+    missing or unwritable file, a non-finite loss or a failed annotation run
+    becomes ``error: <message>`` and exit status 1. A ``KeyError``,
+    ``TypeError`` or ``AttributeError`` is a bug and keeps its traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (CheckpointError, JsonlError, ManifestError) as exc:
+        except (ValueError, OSError, FloatingPointError, ann.BackendError,
+                ann.AnnotationRunError) as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise  # click's own handler exits quietly on a closed stdout
             _fail(str(exc))
 
 
@@ -114,19 +129,11 @@ def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed,
     """Train the speech-code autoencoder on cached mels."""
     records = load_manifest(manifest_path)
     mels_by_id = _load_mels_for(records, mels_path)
-    base = VqVaeConfig.desk() if desk_scale else VqVaeConfig()
-    overrides = _config_section(config_path, "vqvae")
-    try:
-        config = VqVaeConfig.from_json({**base.to_json(), **overrides})
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid vqvae config: {exc}")
+    config = _model_config(VqVaeConfig, "vqvae", desk_scale, config_path)
     if history_out is None:
         history_out = f"{checkpoint_out}.history.jsonl"
     data = np.stack([mels_by_id[r.utterance_id] for r in records])
-    try:
-        model, history = vqvae.train_vqvae(data, config, seed, epochs=epochs, history_path=history_out)
-    except vqvae.NonFiniteLossError as exc:
-        _fail(str(exc))
+    model, history = vqvae.train_vqvae(data, config, seed, epochs=epochs, history_path=history_out)
     model.save(checkpoint_out)
     click.echo(
         f"trained {len(history)} epochs; final loss {history[-1]['total']:.4f} "
@@ -143,10 +150,7 @@ def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
     """Extract the discrete code sequence for every record."""
     records = load_manifest(manifest_path)
     mels_by_id = _load_mels_for(records, mels_path)
-    try:
-        model = VqVae.load(checkpoint_path)
-    except (ValueError, FileNotFoundError) as exc:
-        _fail(str(exc))
+    model = VqVae.load(checkpoint_path)
     codes = vqvae.extract_codes(
         {r.utterance_id: mels_by_id[r.utterance_id] for r in records}, model
     )
@@ -157,10 +161,7 @@ def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
 def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout, max_retries, temperature, records, seed):
     if backend_spec.startswith("mock:"):
         policy, _, label = backend_spec[len("mock:"):].partition(":")
-        try:
-            return ann.mock_backend(policy, records=records, seed=seed, label=label or None)
-        except ValueError as exc:
-            _fail(str(exc))
+        return ann.mock_backend(policy, records=records, seed=seed, label=label or None)
     if backend_spec == "http":
         if not endpoint or not model_name:
             _fail("http backend requires --endpoint and --model")
@@ -213,10 +214,7 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
                  seed, annotations_out, cache_path, failure_budget, concurrency,
                  endpoint, model_name, api_key_env, rpm, timeout, max_retries, temperature):
     """Label every record through the configured backend, with caching."""
-    try:
-        ctx_variant = ann.ContextVariant.parse(variant)
-    except ValueError as exc:
-        _fail(str(exc))
+    ctx_variant = ann.ContextVariant.parse(variant)
     records = load_manifest(manifest_path)
     features_by_id = dsp.load_features(features_path) if features_path else {}
     codes_by_id = vqvae.load_codes(codes_path) if codes_path else {}
@@ -235,31 +233,24 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
 
     backend = _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm,
                              timeout, max_retries, temperature, records, seed)
-    try:
-        cache = ann.AnnotationCache(cache_path or f"{annotations_out}.cache.jsonl")
-    except ValueError as exc:
-        _fail(str(exc))
+    cache = ann.AnnotationCache(cache_path or f"{annotations_out}.cache.jsonl")
     if cache.dropped:
         click.echo(f"dropped {cache.dropped} torn record at the end of {cache.path}", err=True)
     with cache:
-        try:
-            results, summary = ann.annotate_corpus(
-                records,
-                ctx_variant,
-                backend,
-                shots=shots,
-                seed=seed,
-                features_by_id=features_by_id,
-                codes_by_id=codes_by_id,
-                few_shot_pool=pool,
-                cache=cache,
-                balanced_few_shot=balanced_few_shot,
-                failure_budget=failure_budget,
-                concurrency=concurrency,
-            )
-        except (ann.AnnotationRunError, ann.MissingContextFileError, ann.PromptContextError,
-                ann.BackendError, ValueError) as exc:
-            _fail(str(exc))
+        results, summary = ann.annotate_corpus(
+            records,
+            ctx_variant,
+            backend,
+            shots=shots,
+            seed=seed,
+            features_by_id=features_by_id,
+            codes_by_id=codes_by_id,
+            few_shot_pool=pool,
+            cache=cache,
+            balanced_few_shot=balanced_few_shot,
+            failure_budget=failure_budget,
+            concurrency=concurrency,
+        )
     ann.write_annotations(annotations_out, results)
     summary_doc = {"schema_version": reports.SCHEMA_VERSION, "kind": "annotation_summary",
                    **summary.to_json()}
@@ -270,17 +261,6 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
     )
     if summary.failures:
         sys.exit(1)
-
-
-def _classifier_config(desk_scale, config_path, max_epochs):
-    base = ClassifierConfig.desk() if desk_scale else ClassifierConfig()
-    try:
-        merged = {**base.to_json(), **_config_section(config_path, "classifier")}
-        if max_epochs is not None:
-            merged["max_epochs"] = max_epochs
-        return ClassifierConfig.from_json(merged)
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid classifier config: {exc}")
 
 
 def _records_with_labels(manifest_path, labels_source, annotations_path):
@@ -318,32 +298,23 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
                          eval_manifest, eval_mels, repeats, seed, report_out, artifacts_dir,
                          desk_scale, max_epochs, config_path):
     """Train and evaluate under the chosen protocol; emit a run report."""
-    config = _classifier_config(desk_scale, config_path, max_epochs)
+    config = _model_config(ClassifierConfig, "classifier", desk_scale, config_path,
+                           max_epochs=max_epochs)
     records = _records_with_labels(manifest_path, labels_source, annotations_path)
-    mels_by_id = dict(dsp.load_mel_cache(mels_path))
     seeds = [seed + r for r in range(repeats)]
     if artifacts_dir is None:
         artifacts_dir = f"{report_out}.artifacts"
-    try:
-        if folds == "loso":
-            report = experiments.run_loso(
-                records, mels_by_id, labels_source, config, seeds, artifacts_dir
-            )
-        elif folds == "cross":
-            if not eval_manifest or not eval_mels:
-                _fail("cross-corpus runs require --eval-manifest and --eval-mels")
-            eval_records = load_manifest(eval_manifest)
-            mels_by_id.update(dsp.load_mel_cache(eval_mels))
-            report = experiments.run_cross_corpus(
-                records, eval_records, mels_by_id, labels_source, config, seeds,
-                artifacts_dir=artifacts_dir,
-            )
-        else:
-            report = experiments.run_fixed(
-                records, mels_by_id, labels_source, config, seeds, artifacts_dir=artifacts_dir
-            )
-    except (ValueError, KeyError, FloatingPointError) as exc:
-        _fail(str(exc))
+    if folds == "cross":
+        if not eval_manifest or not eval_mels:
+            _fail("cross-corpus runs require --eval-manifest and --eval-mels")
+        eval_records = load_manifest(eval_manifest)
+        mels_by_id = _load_mels_for([*records, *eval_records], mels_path, eval_mels)
+        report = experiments.run_cross_corpus(records, eval_records, mels_by_id, labels_source,
+                                              config, seeds, artifacts_dir=artifacts_dir)
+    else:
+        mels_by_id = _load_mels_for(records, mels_path)
+        run = experiments.run_loso if folds == "loso" else experiments.run_fixed
+        report = run(records, mels_by_id, labels_source, config, seeds, artifacts_dir=artifacts_dir)
     reports.write_report(report_out, report)
     agg = report["aggregate"]
     click.echo(f"UAR {agg['mean']:.4f} +/- {agg['std']:.4f} over {agg['repeats']} repeats")
@@ -364,19 +335,17 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
 def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra_annotations,
                      repeats, seed, report_out, desk_scale, max_epochs, config_path):
     """Compare training on the base corpus alone vs adding machine-labeled extras."""
-    config = _classifier_config(desk_scale, config_path, max_epochs)
+    config = _model_config(ClassifierConfig, "classifier", desk_scale, config_path,
+                           max_epochs=max_epochs)
     base_records = load_manifest(base_manifest)
     extra_records = ann.apply_annotations(
         load_manifest(extra_manifest), ann.load_annotations(extra_annotations)
     )
     extra_records = [r for r in extra_records if r.llm_label is not None]
-    mels_by_id = dict(dsp.load_mel_cache(base_mels))
-    mels_by_id.update(dsp.load_mel_cache(extra_mels))
+    trained = [*base_records, *(r for r in extra_records if r.llm_label in LABELS)]
+    mels_by_id = _load_mels_for(trained, base_mels, extra_mels)
     seeds = [seed + r for r in range(repeats)]
-    try:
-        report = experiments.run_augment_eval(base_records, extra_records, mels_by_id, config, seeds)
-    except (ValueError, KeyError, FloatingPointError) as exc:
-        _fail(str(exc))
+    report = experiments.run_augment_eval(base_records, extra_records, mels_by_id, config, seeds)
     reports.write_report(report_out, report)
     click.echo(
         f"baseline {report['baseline']['mean']:.4f} -> augmented {report['augmented']['mean']:.4f} "
@@ -390,10 +359,7 @@ def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra
 def cmd_report(report_path, do_validate):
     """Summarize (and optionally schema-validate) a report document."""
     doc = reports.read_report(report_path)
-    try:
-        reports.validate_report(doc)
-    except reports.ReportValidationError as exc:
-        _fail(str(exc))
+    reports.validate_report(doc)
     if do_validate:
         click.echo("valid")
         return

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..fileio import atomic_write
+from ..fileio import atomic_write, read_json
 from .tensor import Tensor
 
 MAGIC = b"SERANN"
@@ -146,7 +146,7 @@ class Checkpointable:
                 raise FileNotFoundError(
                     f"{sidecar}: config sidecar missing; pass the configuration explicitly"
                 )
-            config = cls.config_type.from_json(json.loads(sidecar.read_text()))
+            config = cls.config_type.from_json(read_json(sidecar))
         model = cls(config, _NoDraws())
         load_into(model.params(), load_checkpoint(path))
         return model

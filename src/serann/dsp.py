@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_jsonl, require_fields, write_jsonl
+from .fileio import convert_field, read_jsonl, require_fields, write_jsonl
 
 SAMPLE_RATE = 16_000
 N_FFT = 1024
@@ -43,7 +43,7 @@ VOICING_RMS = 0.01
 
 
 class AudioFormatError(ValueError):
-    """WAV file is not 16-bit PCM mono at 16 kHz."""
+    """Audio that is not a readable 16-bit PCM mono WAV at 16 kHz."""
 
 
 class InsufficientAudioError(ValueError):
@@ -87,19 +87,24 @@ class UtteranceFeatures:
 
 def read_wav(path) -> AudioClip:
     path = Path(path)
-    with wave.open(str(path), "rb") as handle:
-        channels = handle.getnchannels()
-        width = handle.getsampwidth()
-        rate = handle.getframerate()
-        if channels != 1:
-            raise AudioFormatError(f"{path}: expected mono audio, got {channels} channels")
-        if width != 2:
-            raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-        if rate != SAMPLE_RATE:
-            raise AudioFormatError(
-                f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz (resampling is not performed)"
-            )
-        raw = handle.readframes(handle.getnframes())
+    try:
+        with wave.open(str(path), "rb") as handle:
+            channels = handle.getnchannels()
+            width = handle.getsampwidth()
+            rate = handle.getframerate()
+            if channels != 1:
+                raise AudioFormatError(f"{path}: expected mono audio, got {channels} channels")
+            if width != 2:
+                raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+            if rate != SAMPLE_RATE:
+                raise AudioFormatError(
+                    f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz (resampling is not performed)"
+                )
+            raw = handle.readframes(handle.getnframes())
+    except (EOFError, wave.Error) as exc:
+        raise AudioFormatError(f"{path}: not a WAV file ({str(exc) or 'header cut short'})") from exc
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples)
 
@@ -282,7 +287,8 @@ def load_features(path) -> dict:
             path, lineno, record, "utterance_id", "avg_energy", "avg_pitch_hz"
         )
         features[uid] = UtteranceFeatures(
-            avg_energy=float(energy), avg_pitch_hz=float(pitch),
+            avg_energy=convert_field(path, lineno, "avg_energy", energy, float),
+            avg_pitch_hz=convert_field(path, lineno, "avg_pitch_hz", pitch, float),
             gender=record.get("gender", "unknown"),
         )
     return features

@@ -54,8 +54,6 @@ def materialize(
     xs, ys = [], []
     for uid in ids:
         record = records_by_id[uid]
-        if uid not in mels_by_id:
-            raise KeyError(f"no mel spectrogram cached for {uid!r}")
         xs.append(mels_by_id[uid])
         ys.append(LABEL_INDEX[training_label(record, labels_source)])
     return LabeledSet(

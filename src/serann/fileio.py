@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 
 class JsonlError(ValueError):
-    pass
+    """A JSON or JSONL file unfit for its reader; the message names the file."""
 
 
 def atomic_write(path, data: bytes) -> None:
@@ -49,6 +49,17 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+def read_json(path) -> dict:
+    """The JSON object in ``path``; anything else is a JsonlError naming it."""
+    try:
+        document = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise JsonlError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(document, dict):
+        raise JsonlError(f"{path}: expected a JSON object, got {type(document).__name__}")
+    return document
+
+
 def require_fields(path, lineno: int, record, *names: str) -> list:
     """The values of ``names`` in a record read from line ``lineno`` of
     ``path``; a missing one is a JsonlError naming the line and the field."""
@@ -56,3 +67,11 @@ def require_fields(path, lineno: int, record, *names: str) -> list:
         if not isinstance(record, dict) or name not in record:
             raise JsonlError(f"{path}:{lineno}: missing field {name!r}")
     return [record[name] for name in names]
+
+
+def convert_field(path, lineno: int, name: str, value, convert):
+    """``convert(value)``, or a JsonlError naming ``path:lineno`` and ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise JsonlError(f"{path}:{lineno}: field {name!r}: {exc}") from exc

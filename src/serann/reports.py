@@ -12,7 +12,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 
 SCHEMA_VERSION = 1
 
@@ -124,4 +124,4 @@ def write_report(path, document: dict) -> None:
 
 
 def read_report(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return read_json(path)

@@ -33,7 +33,7 @@ from .coremath.ops import _mean_square_grad, conv_output_size, mse
 from .coremath.optim import Adam
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
-from .fileio import read_jsonl, require_fields, write_jsonl
+from .fileio import convert_field, read_jsonl, require_fields, write_jsonl
 
 GRID_POSITIONS = 64
 INPUT_BANDS = 80
@@ -488,5 +488,5 @@ def load_codes(path) -> dict[str, list[int]]:
     codes = {}
     for lineno, record in read_jsonl(path):
         uid, row = require_fields(path, lineno, record, "utterance_id", "codes")
-        codes[uid] = [int(c) for c in row]
+        codes[uid] = convert_field(path, lineno, "codes", row, lambda values: [int(c) for c in values])
     return codes

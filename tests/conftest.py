@@ -24,6 +24,17 @@ ACCEPTANCE_CRITERIA = {
 }
 
 
+# Damage to a good WAV file's bytes that read_wav must reject naming the file,
+# with a fragment of the message it gives.
+WAV_DAMAGE = {
+    "empty": (lambda raw: b"", "not a WAV file"),
+    "cut-at-4": (lambda raw: raw[:4], "not a WAV file"),
+    "cut-at-20": (lambda raw: raw[:20], "not a WAV file"),
+    "not-riff": (lambda raw: b"JUNK" + raw[4:], "RIFF"),
+    "odd-data-bytes": (lambda raw: raw[:44 + 101], "ends inside a sample"),
+}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes: dict[int, set] = defaultdict(set)
     for status in ("passed", "failed", "error"):

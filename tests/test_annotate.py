@@ -32,6 +32,7 @@ from serann.annotate import (
 from serann.corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from serann.coremath.rng import Rng
 from serann.dsp import UtteranceFeatures
+from serann.fileio import JsonlError
 
 TEXT = ContextVariant.TEXT_ONLY
 FULL = ContextVariant.TEXT_ENERGY_F0_GENDER_CODES
@@ -536,6 +537,20 @@ class TestAnnotateAndCache:
             _, summary = annotate_corpus(pool[:5], TEXT, mock_backend("keyword"), cache=reader)
             assert summary.cache_hits == 5
         assert len(AnnotationCache(path)) == 5
+
+    @pytest.mark.parametrize("load", [load_annotations, AnnotationCache],
+                             ids=["annotations", "cache"])
+    @pytest.mark.parametrize("field", ["label", "backend_id"])
+    def test_record_missing_a_field_names_line_and_field(self, pool, tmp_path, load, field):
+        results, _ = annotate_corpus(pool[:3], TEXT, mock_backend("keyword"))
+        path = tmp_path / "records.jsonl"
+        write_annotations(path, results)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record[field]
+        path.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n")
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: missing field {field!r}")):
+            load(path)
 
     def test_corrupt_middle_line_raises(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import WAV_DAMAGE
+from serann import dsp, experiments
 from serann.cli import main
 
 
@@ -228,6 +230,7 @@ def assert_error_line(result, *fragments):
     exception escaping the command (which would print a traceback)."""
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
     line = next(line for line in result.output.splitlines() if line.startswith("error: "))
     for fragment in fragments:
         assert fragment in line
@@ -273,6 +276,9 @@ class TestMalformedInputs:
         ("--features", "features.jsonl", '{"utterance_id": "x", "avg_pitch_hz": 1.0}',
          "missing field 'avg_energy'"),
         ("--codes", "codes.jsonl", '{"utterance_id": "x"}', "missing field 'codes'"),
+        ("--features", "features.jsonl",
+         '{"utterance_id": "x", "avg_energy": "loud", "avg_pitch_hz": 1.0}', "field 'avg_energy'"),
+        ("--codes", "codes.jsonl", '{"utterance_id": "x", "codes": ["x"]}', "field 'codes'"),
     ])
     def test_bad_context_file_line(self, pipeline_dir, tmp_path, option, source, line, expected):
         bad = tmp_path / source
@@ -287,6 +293,171 @@ class TestMalformedInputs:
         ])
         assert_error_line(result, f"{bad}:3", expected)
         assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("args, text, expected", [
+        pytest.param(
+            ["train-classifier", "--manifest", "MANIFEST", "--mels", "MELS", "--folds", "fixed",
+             "--labels-source", "llm", "--annotations", "BAD", "--out", "OUT/r.json"],
+            '{"utterance_id": "x"}\n', "BAD:1: missing field 'label'",
+            id="annotations-missing-field"),
+        pytest.param(
+            ["annotate", "--manifest", "MANIFEST", "--backend", "mock:keyword",
+             "--cache", "BAD", "--out", "OUT/a.jsonl"],
+            lambda root: "".join(
+                json.dumps({k: v for k, v in json.loads(line).items() if k != "backend_id"}) + "\n"
+                for line in (root / "annotations.jsonl.cache.jsonl").read_text().splitlines()
+            ),
+            "BAD:1: missing field 'backend_id'", id="cache-missing-field"),
+        pytest.param(
+            ["train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--config", "BAD", "--out", "OUT/vq.serann"],
+            "{bad", "BAD: invalid JSON", id="config-not-json"),
+        pytest.param(
+            ["train-classifier", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--config", "BAD", "--out", "OUT/r.json"],
+            "[1]", "BAD: expected a JSON object", id="config-not-an-object"),
+        pytest.param(
+            ["train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--config", "BAD", "--out", "OUT/vq.serann"],
+            '{"vqvae": [1]}', "BAD: section 'vqvae' must be a JSON object",
+            id="config-section-not-an-object"),
+        pytest.param(["report", "--in", "BAD"], "not json\n", "BAD: invalid JSON",
+                     id="report-not-json"),
+    ])
+    def test_bad_file_is_one_error_line(self, pipeline_dir, tmp_path, args, text, expected):
+        bad = tmp_path / "bad"
+        bad.write_text(text(pipeline_dir) if callable(text) else text)
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"MANIFEST": pipeline_dir / "corpus" / "manifest.jsonl",
+                 "MELS": pipeline_dir / "mels.serann", "BAD": bad, "OUT": out}
+
+        def fill(arg):
+            for name, path in paths.items():
+                arg = arg.replace(name, str(path))
+            return arg
+
+        result = CliRunner().invoke(main, [fill(arg) for arg in args])
+        assert_error_line(result, fill(expected))
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("damage, message", WAV_DAMAGE.values(), ids=WAV_DAMAGE.keys())
+    def test_unreadable_wav_is_a_per_record_failure(self, pipeline_dir, tmp_path, damage, message):
+        lines = (pipeline_dir / "corpus" / "manifest.jsonl").read_text().splitlines()[:3]
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            wav = tmp_path / record["audio_path"]
+            wav.parent.mkdir(parents=True, exist_ok=True)
+            wav.write_bytes((pipeline_dir / "corpus" / record["audio_path"]).read_bytes())
+        bad = tmp_path / records[1]["audio_path"]
+        bad.write_bytes(damage(bad.read_bytes()))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, [
+            "features", "--manifest", str(manifest),
+            "--out", str(tmp_path / "f.jsonl"), "--mels-out", str(tmp_path / "m.serann"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "features: 2 ok, 1 failed" in result.output
+        line = next(line for line in result.output.splitlines() if line.startswith("  "))
+        assert line.startswith(f"  {records[1]['utterance_id']}: {bad}: ")
+        assert message in line
+        assert "Traceback" not in result.output
+
+
+class TestMelCacheCheck:
+    """A record the run trains or tests on without a cached mel stops the
+    command before anything trains."""
+
+    @staticmethod
+    def short_mels(pipeline_dir, tmp_path, prefix=""):
+        """The corpus mels keyed ``prefix + id``, without the last record's;
+        returns the cache path and the missing key."""
+        mels = dsp.load_mel_cache(pipeline_dir / "mels.serann")
+        missing = prefix + sorted(mels)[-1]
+        path = tmp_path / f"{prefix}short.serann"
+        dsp.save_mel_cache(path, {prefix + k: v for k, v in mels.items() if prefix + k != missing})
+        return str(path), missing
+
+    @staticmethod
+    def relabeled(path, tmp_path, prefix, edit=lambda record: None):
+        """A copy of the JSONL at ``path`` with every id prefixed."""
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            record["utterance_id"] = prefix + record["utterance_id"]
+            edit(record)
+        out = tmp_path / f"{prefix}{path.name}"
+        out.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return str(out)
+
+    def augment_args(self, pipeline_dir, tmp_path, unparseable_missing=False):
+        """Base: the corpus. Extras: its records again under ``x`` ids, the
+        last one's mel missing (and its label unparseable if asked)."""
+        extra_mels, missing = self.short_mels(pipeline_dir, tmp_path, prefix="x")
+
+        def edit(record):
+            if unparseable_missing and record["utterance_id"] == missing:
+                record["label"] = "unparseable"
+
+        return missing, [
+            "augment-eval", "--base-manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--base-mels", str(pipeline_dir / "mels.serann"),
+            "--extra-manifest",
+            self.relabeled(pipeline_dir / "corpus" / "manifest.jsonl", tmp_path, "x"),
+            "--extra-mels", extra_mels, "--extra-annotations",
+            self.relabeled(pipeline_dir / "annotations.jsonl", tmp_path, "x", edit),
+        ]
+
+    @pytest.mark.parametrize("protocol", ["loso", "fixed", "cross", "augment"])
+    def test_missing_mel_stops_the_run(self, pipeline_dir, tmp_path, protocol):
+        manifest = pipeline_dir / "corpus" / "manifest.jsonl"
+        if protocol == "augment":
+            missing, args = self.augment_args(pipeline_dir, tmp_path)
+        else:
+            short, missing = self.short_mels(pipeline_dir, tmp_path)
+            args = ["train-classifier", "--folds", protocol, "--mels", short]
+            if protocol == "cross":
+                lines = manifest.read_text().splitlines()
+                manifest, held_out = tmp_path / "train.jsonl", tmp_path / "eval.jsonl"
+                manifest.write_text("\n".join(lines[:12]) + "\n")
+                held_out.write_text("\n".join(lines[12:]) + "\n")
+                args += ["--eval-manifest", str(held_out), "--eval-mels", short]
+            args += ["--manifest", str(manifest)]
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            *args, "--desk-scale", "--max-epochs", "1", "--repeats", "1",
+            "--out", str(out / "r.json"),
+        ])
+        assert_error_line(result, f"mel cache is missing 1 records (first: {missing!r})")
+        assert not out.exists()
+
+    def test_extras_left_out_of_training_need_no_mel(self, pipeline_dir, tmp_path):
+        _, args = self.augment_args(pipeline_dir, tmp_path, unparseable_missing=True)
+        result = CliRunner().invoke(main, [
+            *args, "--desk-scale", "--max-epochs", "1", "--repeats", "1",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["extra_records_used"], report["extra_records_excluded"]) == (19, 1)
+
+
+def test_a_bug_keeps_its_traceback(pipeline_dir, tmp_path, monkeypatch):
+    """The error boundary reports input errors only: a KeyError raised
+    inside a command escapes with its traceback instead of becoming an
+    ``error:`` line."""
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(experiments, "run_fixed", broken)
+    result = CliRunner().invoke(main, [
+        "train-classifier", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+        "--mels", str(pipeline_dir / "mels.serann"), "--folds", "fixed", "--repeats", "1",
+        "--desk-scale", "--out", str(tmp_path / "r.json"),
+    ])
+    assert isinstance(result.exception, KeyError), result.output
+    assert "error:" not in result.output
 
 
 def invalid_run(tmp_path, *args, config=None):

@@ -1,6 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from conftest import WAV_DAMAGE
 from serann import dsp
 from serann.dsp import (
     AudioClip,
@@ -12,6 +16,7 @@ from serann.dsp import (
     read_wav,
     write_wav,
 )
+from serann.fileio import JsonlError
 
 SR = dsp.SAMPLE_RATE
 
@@ -121,6 +126,15 @@ class TestWavIO:
             handle.writeframes(b"\x00" * 2000)
         with pytest.raises(AudioFormatError, match="16-bit"):
             read_wav(path)
+
+    @pytest.mark.parametrize("damage, message", WAV_DAMAGE.values(), ids=WAV_DAMAGE.keys())
+    def test_unreadable_file_names_the_path(self, tmp_path, damage, message):
+        path = tmp_path / "bad.wav"
+        write_wav(path, tone(440, 0.2, amp=0.5))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(AudioFormatError, match=message) as caught:
+            read_wav(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_short_clip_insufficient(self):
         with pytest.raises(InsufficientAudioError):
@@ -251,6 +265,20 @@ class TestFeatureFiles:
         assert loaded.keys() == feats.keys()
         assert loaded["a"].avg_pitch_hz == 190.0
         assert loaded["b"].gender == "male"
+
+    @pytest.mark.parametrize("field", ["avg_energy", "avg_pitch_hz"])
+    def test_non_numeric_field_names_line_and_field(self, tmp_path, field):
+        path = tmp_path / "features.jsonl"
+        dsp.write_features(path, {
+            "a": dsp.UtteranceFeatures(0.25, 190.0, "female"),
+            "b": dsp.UtteranceFeatures(0.5, 0.0, "male"),
+        })
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = "loud"
+        path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field {field!r}")):
+            dsp.load_features(path)
 
     def test_mel_cache_roundtrip_and_determinism(self, tmp_path, rng):
         mels = {f"utt{i}": rng.normal(0, 1, (80, 256), np.float32) for i in range(3)}

@@ -6,7 +6,7 @@ import pytest
 
 from serann import fileio, reports
 from serann.coremath import save_checkpoint
-from serann.fileio import JsonlError, read_jsonl, write_jsonl
+from serann.fileio import JsonlError, read_json, read_jsonl, write_jsonl
 
 SUMMARY = {
     "schema_version": 1, "kind": "annotation_summary", "total": 1,
@@ -27,6 +27,19 @@ def test_bad_line_reported_as_path_and_line(tmp_path):
     path.write_text('{"a": 1}\n{"a": \n')
     with pytest.raises(JsonlError, match=re.escape(f"{path}:2:")):
         list(read_jsonl(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "invalid JSON"),
+    ("", "invalid JSON"),
+    (b"\xff\xfe{", "invalid JSON"),
+    ("[1]", "expected a JSON object, got list"),
+])
+def test_json_file_that_is_not_an_object_names_the_path(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(JsonlError, match=re.escape(f"{path}: {message}")):
+        read_json(path)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_codes, reference_vq_losses, tape_nodes
 from serann import vqvae
 from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mse, mul, tensor_sum
+from serann.fileio import JsonlError
 from serann.synthetic import two_pattern_mels
 from serann.vqvae import (
     GRID_POSITIONS,
@@ -425,6 +428,16 @@ class TestExtractCodes:
         path = tmp_path / "codes.jsonl"
         write_codes(path, first)
         assert load_codes(path) == first
+
+    @pytest.mark.parametrize("code", ['"x"', "null", "[1]"])
+    def test_non_numeric_code_names_line_and_field(self, tmp_path, code):
+        path = tmp_path / "codes.jsonl"
+        write_codes(path, {"a": [1, 2], "b": [3, 4]})
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("[3, 4]", f"[3, {code}]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field 'codes'")):
+            load_codes(path)
 
     def test_batched_matches_per_utterance(self, desk_model):
         # 40 utterances span a full batch of 32 and a partial one.
