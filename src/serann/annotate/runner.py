@@ -58,6 +58,18 @@ class AnnotationResult:
         # runs once per cache append.
         return dict(vars(self))
 
+    @classmethod
+    def from_json(cls, record: dict) -> "AnnotationResult":
+        """The result in ``record``, which may carry fields besides these."""
+        return cls(
+            record["utterance_id"],
+            record["label"],
+            record["raw_response"],
+            record["backend_id"],
+            record["prompt_hash"],
+            record["template_version"],
+        )
+
 
 _RESULT_FIELDS = tuple(field.name for field in fields(AnnotationResult))
 _RESULT_KEYS = frozenset(_RESULT_FIELDS)  # lets the cache loader check a record in one pass
@@ -85,7 +97,7 @@ class AnnotationCache:
         if self.path.exists():
             self.dropped = _drop_torn_tail(self.path)
             for lineno, record in read_jsonl(self.path):
-                if not (isinstance(record, dict) and record.keys() >= _RESULT_KEYS):
+                if not record.keys() >= _RESULT_KEYS:
                     require_fields(self.path, lineno, record, *_RESULT_FIELDS)
                 self._entries[record["backend_id"], record["prompt_hash"]] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -241,7 +253,7 @@ def annotate_corpus(
         for prompt_hash in first:
             hit = cache.get(prompt_hash, backend.backend_id)
             if hit is not None:
-                answers[prompt_hash] = AnnotationResult(**hit)
+                answers[prompt_hash] = AnnotationResult.from_json(hit)
     askers = [i for prompt_hash, i in first.items() if prompt_hash not in answers]
 
     def ask(i: int) -> AnnotationResult | str:

@@ -11,6 +11,15 @@ Fixed encoding:
 - Energy: mean over 25 ms / 10 ms frames of per-frame RMS, linear 0..1.
 - Pitch: per-frame normalized autocorrelation, 50..500 Hz search; frames
   count as voiced when the peak correlation reaches 0.3 and frame RMS 0.01.
+
+The pitch tracker is batched per clip: it takes up to ``PITCH_CHUNK``
+frames at a time, gates them by RMS, and runs the autocorrelation, the
+peak pick and the parabolic interpolation over all loud frames at once.
+Its bits equal a one-frame-at-a-time tracker's. Batched ``rfft`` and
+``irfft`` keep the bits of per-row calls, but the power spectrum
+``spectrum * conj(spectrum)`` is formed one row at a time on purpose: over
+a stacked array numpy's complex multiply takes a SIMD path that depends on
+the array length and changes the low bits.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ PITCH_MIN_HZ = 50.0
 PITCH_MAX_HZ = 500.0
 VOICING_CORR = 0.3
 VOICING_RMS = 0.01
+PITCH_CHUNK = 64  # frames per batched autocorrelation: about 1 MB per buffer, so it stays in cache
+_LAG_MIN = int(SAMPLE_RATE / PITCH_MAX_HZ)  # 32 samples
+_LAG_MAX = int(SAMPLE_RATE / PITCH_MIN_HZ)  # 320 samples
 
 
 class AudioFormatError(ValueError):
@@ -188,63 +200,55 @@ def average_energy(clip: AudioClip) -> float:
     return float(rms.mean())
 
 
-def _frame_autocorr(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized autocorrelation r(tau) for tau in 0..max_lag."""
-    n = len(frame)
-    spectrum = np.fft.rfft(frame, n=2 * n)
-    raw = np.fft.irfft(spectrum * np.conj(spectrum))[: max_lag + 1]
-    energy = np.concatenate([[0.0], np.cumsum(frame * frame)])
-    total = energy[-1]
-    lags = np.arange(max_lag + 1)
-    head = energy[n - lags]  # sum x[0..n-tau-1]^2
-    tail = total - energy[lags]  # sum x[tau..n-1]^2
-    denom = np.sqrt(head * tail)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom > 0, raw / denom, 0.0)
-    return r
-
-
-def _frame_pitch(frame: np.ndarray) -> float:
-    """F0 of one frame in Hz, or 0.0 when unvoiced."""
-    rms = float(np.sqrt(np.mean(frame * frame)))
-    if rms < VOICING_RMS:
-        return 0.0
-    lag_min = int(SAMPLE_RATE / PITCH_MAX_HZ)
-    lag_max = int(SAMPLE_RATE / PITCH_MIN_HZ)
-    r = _frame_autocorr(frame, lag_max + 1)
-    window = r[lag_min : lag_max + 1]
-    best = float(window.max(initial=0.0))
-    if best < VOICING_CORR:
-        return 0.0
-    # Local maxima only; among those near the global peak take the smallest
-    # lag, which resolves period multiples toward the true fundamental.
-    peaks = [
-        i
-        for i in range(1, len(window) - 1)
-        if window[i] >= window[i - 1]
-        and window[i] >= window[i + 1]
-        and window[i] >= 0.9 * best
-        and window[i] >= VOICING_CORR
-    ]
-    if not peaks:
-        return 0.0
-    i = peaks[0]
-    lag = lag_min + i
-    left, mid, right = r[lag - 1], r[lag], r[lag + 1]
-    curvature = left - 2.0 * mid + right
-    delta = 0.5 * (left - right) / curvature if abs(curvature) > 1e-12 else 0.0
-    delta = float(np.clip(delta, -0.5, 0.5))
-    f0 = SAMPLE_RATE / (lag + delta)
-    return float(np.clip(f0, PITCH_MIN_HZ, PITCH_MAX_HZ))
-
-
 def average_pitch(clip: AudioClip) -> float:
     """Mean F0 over voiced frames in Hz; 0.0 when nothing is voiced."""
-    frames = _frames(clip.samples, WIN, HOP)
-    pitches = [p for p in (_frame_pitch(f) for f in frames) if p > 0.0]
-    if not pitches:
-        return 0.0
-    return float(np.mean(pitches))
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, WIN)[::HOP]
+    pitches = np.concatenate(
+        [_voiced_pitches(frames[i : i + PITCH_CHUNK]) for i in range(0, len(frames), PITCH_CHUNK)]
+    )
+    return float(np.mean(pitches)) if len(pitches) else 0.0
+
+
+def _voiced_pitches(frames: np.ndarray) -> np.ndarray:
+    """F0 in Hz of each voiced row of ``frames``, in row order."""
+    squares = frames * frames
+    loud = np.sqrt(np.mean(squares, axis=1)) >= VOICING_RMS
+    frames, squares = frames[loud], squares[loud]
+
+    # Normalized autocorrelation r(tau) for tau in _LAG_MIN.._LAG_MAX.
+    spectrum = np.fft.rfft(frames, n=2 * WIN, axis=1)
+    power = np.empty_like(spectrum)
+    for k in range(len(spectrum)):  # one row at a time: see the module docstring
+        np.multiply(spectrum[k], np.conj(spectrum[k]), out=power[k])
+    raw = np.fft.irfft(power, axis=1)[:, _LAG_MIN : _LAG_MAX + 1]
+    energy = np.cumsum(squares, axis=1)  # energy[:, j] = sum x[0..j]^2
+    head = energy[:, WIN - 1 - _LAG_MIN : WIN - 2 - _LAG_MAX : -1]  # sum x[0..n-tau-1]^2
+    tail = energy[:, -1:] - energy[:, _LAG_MIN - 1 : _LAG_MAX]  # sum x[tau..n-1]^2
+    denom = np.sqrt(head * tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        window = np.where(denom > 0, raw / denom, 0.0)
+
+    # Local maxima only; among those near the global peak take the smallest
+    # lag, which resolves period multiples toward the true fundamental. A
+    # row whose maximum is below VOICING_CORR has no such peak.
+    best = window.max(axis=1, initial=0.0)[:, None]
+    inner = window[:, 1:-1]
+    peaks = (
+        (inner >= window[:, :-2])
+        & (inner >= window[:, 2:])
+        & (inner >= 0.9 * best)
+        & (inner >= VOICING_CORR)
+    )
+    voiced = peaks.any(axis=1)
+    rows = np.flatnonzero(voiced)
+    i = peaks[voiced].argmax(axis=1) + 1
+    left, mid, right = window[rows, i - 1], window[rows, i], window[rows, i + 1]
+    curvature = left - 2.0 * mid + right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(curvature) > 1e-12, 0.5 * (left - right) / curvature, 0.0)
+    delta = np.clip(delta, -0.5, 0.5)
+    f0 = SAMPLE_RATE / (_LAG_MIN + i + delta)
+    return np.clip(f0, PITCH_MIN_HZ, PITCH_MAX_HZ)
 
 
 def extract_features(clip: AudioClip, gender: str = "unknown") -> UtteranceFeatures:

@@ -17,7 +17,9 @@ class JsonlError(ValueError):
 
 
 def atomic_write(path, data: bytes) -> None:
+    """Replace ``path`` with ``data``, creating its parent directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
@@ -29,14 +31,13 @@ def atomic_write(path, data: bytes) -> None:
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted; replaces ``path`` atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     atomic_write(path, text.encode("utf-8"))
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, record)`` for every non-blank line."""
+    """Yield ``(line number, record)`` for every non-blank line; a line that
+    is not a JSON object is a JsonlError naming ``path:line``."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -46,6 +47,10 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise JsonlError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise JsonlError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
+                )
             yield lineno, record
 
 
@@ -60,11 +65,11 @@ def read_json(path) -> dict:
     return document
 
 
-def require_fields(path, lineno: int, record, *names: str) -> list:
+def require_fields(path, lineno: int, record: dict, *names: str) -> list:
     """The values of ``names`` in a record read from line ``lineno`` of
     ``path``; a missing one is a JsonlError naming the line and the field."""
     for name in names:
-        if not isinstance(record, dict) or name not in record:
+        if name not in record:
             raise JsonlError(f"{path}:{lineno}: missing field {name!r}")
     return [record[name] for name in names]
 

@@ -8,7 +8,6 @@ its kind.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import jsonschema
 
@@ -118,8 +117,6 @@ def validate_report(document: dict) -> None:
 
 def write_report(path, document: dict) -> None:
     validate_report(document)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 

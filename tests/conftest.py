@@ -284,6 +284,62 @@ def reference_vq_losses(model, x):
     return z_e, z_q, codes, recon, codebook_term, commitment_term
 
 
+def reference_frame_autocorr(frame, max_lag):
+    """Normalized autocorrelation r(tau) of one frame for tau in 0..max_lag."""
+    n = len(frame)
+    spectrum = np.fft.rfft(frame, n=2 * n)
+    raw = np.fft.irfft(spectrum * np.conj(spectrum))[: max_lag + 1]
+    energy = np.concatenate([[0.0], np.cumsum(frame * frame)])
+    total = energy[-1]
+    lags = np.arange(max_lag + 1)
+    head = energy[n - lags]  # sum x[0..n-tau-1]^2
+    tail = total - energy[lags]  # sum x[tau..n-1]^2
+    denom = np.sqrt(head * tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, raw / denom, 0.0)
+
+
+def _reference_frame_pitch(frame):
+    """F0 of one frame in Hz, or 0.0 when unvoiced."""
+    rms = float(np.sqrt(np.mean(frame * frame)))
+    if rms < dsp.VOICING_RMS:
+        return 0.0
+    lag_min = int(dsp.SAMPLE_RATE / dsp.PITCH_MAX_HZ)
+    lag_max = int(dsp.SAMPLE_RATE / dsp.PITCH_MIN_HZ)
+    r = reference_frame_autocorr(frame, lag_max + 1)
+    window = r[lag_min : lag_max + 1]
+    best = float(window.max(initial=0.0))
+    if best < dsp.VOICING_CORR:
+        return 0.0
+    peaks = [
+        i
+        for i in range(1, len(window) - 1)
+        if window[i] >= window[i - 1]
+        and window[i] >= window[i + 1]
+        and window[i] >= 0.9 * best
+        and window[i] >= dsp.VOICING_CORR
+    ]
+    if not peaks:
+        return 0.0
+    lag = lag_min + peaks[0]
+    left, mid, right = r[lag - 1], r[lag], r[lag + 1]
+    curvature = left - 2.0 * mid + right
+    delta = 0.5 * (left - right) / curvature if abs(curvature) > 1e-12 else 0.0
+    delta = float(np.clip(delta, -0.5, 0.5))
+    f0 = dsp.SAMPLE_RATE / (lag + delta)
+    return float(np.clip(f0, dsp.PITCH_MIN_HZ, dsp.PITCH_MAX_HZ))
+
+
+def reference_average_pitch(samples):
+    """``dsp.average_pitch`` one frame at a time: a per-frame FFT
+    autocorrelation and a Python scan of its lag window for the first peak.
+    The batched tracker must give the same bits."""
+    n = 1 + (len(samples) - dsp.WIN) // dsp.HOP
+    frames = samples[np.arange(dsp.WIN)[None, :] + dsp.HOP * np.arange(n)[:, None]]
+    pitches = [p for p in (_reference_frame_pitch(f) for f in frames) if p > 0.0]
+    return float(np.mean(pitches)) if pitches else 0.0
+
+
 def tape_nodes(root):
     """Number of tensors reachable from ``root`` through recorded parents,
     ``root`` and the leaves included."""

@@ -365,6 +365,44 @@ class TestMalformedInputs:
         assert message in line
         assert "Traceback" not in result.output
 
+    def test_manifest_line_not_an_object(self, pipeline_dir, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("[1]\n")
+        result = CliRunner().invoke(main, [
+            "features", "--manifest", str(manifest),
+            "--out", str(tmp_path / "f.jsonl"), "--mels-out", str(tmp_path / "m.serann"),
+        ])
+        assert_error_line(result, f"{manifest}:1", "expected a JSON object, got list")
+
+    def test_outputs_into_missing_directories(self, pipeline_dir, tmp_path):
+        mels, features = tmp_path / "new" / "m.serann", tmp_path / "other" / "f.jsonl"
+        result = CliRunner().invoke(main, [
+            "features", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--out", str(features), "--mels-out", str(mels),
+        ])
+        assert result.exit_code == 0, result.output
+        assert mels.read_bytes() == (pipeline_dir / "mels.serann").read_bytes()
+        assert features.read_bytes() == (pipeline_dir / "features.jsonl").read_bytes()
+
+    def test_cache_record_with_an_extra_field(self, pipeline_dir, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        lines = (pipeline_dir / "annotations.jsonl.cache.jsonl").read_text().splitlines()
+        cache.write_text("".join(
+            json.dumps({**json.loads(line), "extra": 1}) + "\n" for line in lines
+        ))
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--variant", "full", "--shots", "few", "--backend", "mock:oracle",
+            "--features", str(pipeline_dir / "features.jsonl"),
+            "--codes", str(pipeline_dir / "codes.jsonl"), "--seed", "5",
+            "--out", str(tmp_path / "ann.jsonl"), "--cache", str(cache),
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "ann.jsonl.summary.json").read_text())
+        assert summary["cache_hits"] == summary["total"]
+        assert (tmp_path / "ann.jsonl").read_bytes() == (
+            pipeline_dir / "annotations.jsonl").read_bytes()
+
 
 class TestMelCacheCheck:
     """A record the run trains or tests on without a cached mel stops the

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WAV_DAMAGE
+from conftest import WAV_DAMAGE, reference_average_pitch, reference_frame_autocorr
 from serann import dsp
 from serann.dsp import (
     AudioClip,
@@ -251,6 +253,94 @@ class TestPitch:
 
     def test_quiet_frames_gated_by_rms(self):
         assert average_pitch(AudioClip(tone(200, 1.0, 0.005))) == 0.0
+
+
+def pitch_branch(frame):
+    """Which way the one-frame tracker leaves ``frame``; a voiced frame also
+    names a peak next to a window edge and a zero curvature."""
+    if np.sqrt(np.mean(frame * frame)) < dsp.VOICING_RMS:
+        return "quiet"
+    lag_min = int(SR / dsp.PITCH_MAX_HZ)
+    window = reference_frame_autocorr(frame, int(SR / dsp.PITCH_MIN_HZ) + 1)[lag_min:-1]
+    best = window.max(initial=0.0)
+    if best < dsp.VOICING_CORR:
+        return "weak"
+    peaks = [i for i in range(1, len(window) - 1)
+             if window[i - 1] <= window[i] >= window[i + 1]
+             and window[i] >= max(0.9 * best, dsp.VOICING_CORR)]
+    if not peaks:
+        return "no-peak"
+    i = peaks[0]
+    if abs(window[i - 1] - 2.0 * window[i] + window[i + 1]) <= 1e-12:
+        return "flat"
+    return "edge-peak" if i in (1, len(window) - 2) else "voiced"
+
+
+def noisy_clip(seed, seconds):
+    """A wavering tone in noise with silent and near-silent stretches."""
+    rng = np.random.default_rng(seed)
+    n = max(int(seconds * SR), dsp.WIN)
+    t = np.arange(n) / SR
+    phase = 2.0 * np.pi * rng.uniform(40.0, 600.0) * t + rng.uniform(0, 3) * np.sin(2 * np.pi * 4 * t)
+    samples = rng.uniform(0.01, 0.7) * np.sin(phase) + rng.uniform(0, 0.3) * rng.standard_normal(n)
+    for _ in range(rng.integers(0, 5)):
+        start = rng.integers(0, n)
+        samples[start : start + rng.integers(100, 3 * dsp.PITCH_CHUNK * dsp.HOP)] *= rng.choice(
+            [0.0, 0.001, 0.03])
+    return np.clip(samples, -1.0, 1.0)
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+# Clips all of whose frames leave the one-frame tracker the same way.
+PITCH_BRANCH_CLIPS = {
+    "quiet": ("quiet", tone(200, 1.0, 0.005)),
+    "weak": ("weak", 0.05 * np.random.default_rng(0).standard_normal(SR)),
+    # 20 Hz is below the search range: r falls across the whole lag window.
+    "no-peak": ("no-peak", tone(20, 1.0, 0.5)),
+    # Periods of 33 and 319 samples: the first peak is next to a window edge.
+    "edge-peak-33": ("edge-peak", tone(SR / 33, 1.0, 0.5)),
+    "edge-peak-319": ("edge-peak", tone(SR / 319, 1.0, 0.5)),
+    # A constant: r is 1 at every lag up to rounding, so the peak is flat.
+    "flat": ("flat", np.full(SR, 0.5)),
+    # 500 Hz: the period is the window's first lag (32), so the first
+    # interior peak is at twice the period.
+    "voiced": ("voiced", tone(500, 1.0, 0.5)),
+}
+
+
+class TestBatchedPitch:
+    """``average_pitch`` has the bits of the one-frame-at-a-time tracker."""
+
+    @pytest.mark.parametrize("branch, samples", PITCH_BRANCH_CLIPS.values(),
+                             ids=PITCH_BRANCH_CLIPS.keys())
+    def test_each_branch_keeps_the_bits(self, branch, samples):
+        frames = dsp._frames(samples, dsp.WIN, dsp.HOP)
+        assert {pitch_branch(frame) for frame in frames} == {branch}
+        assert bits(average_pitch(AudioClip(samples))) == bits(reference_average_pitch(samples))
+
+    def test_one_window_clip(self):
+        samples = tone(220, dsp.WIN / SR, 0.5)
+        assert len(samples) == dsp.WIN
+        assert average_pitch(AudioClip(samples)) > 0.0
+        assert bits(average_pitch(AudioClip(samples))) == bits(reference_average_pitch(samples))
+
+    def test_clip_longer_than_one_chunk(self):
+        # Three chunks; the middle one is all silence.
+        chunk = dsp.PITCH_CHUNK * dsp.HOP
+        samples = tone(180, 3 * chunk / SR, 0.4)
+        samples[chunk - dsp.WIN : 2 * chunk + dsp.WIN] = 0.0
+        samples += 0.001 * np.random.default_rng(2).standard_normal(len(samples))
+        assert 1 + (len(samples) - dsp.WIN) // dsp.HOP > 2 * dsp.PITCH_CHUNK
+        assert bits(average_pitch(AudioClip(samples))) == bits(reference_average_pitch(samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.064, 8.0))
+    def test_random_clips_keep_the_bits(self, seed, seconds):
+        samples = noisy_clip(seed, seconds)
+        assert bits(average_pitch(AudioClip(samples))) == bits(reference_average_pitch(samples))
 
 
 class TestFeatureFiles:

@@ -29,6 +29,30 @@ def test_bad_line_reported_as_path_and_line(tmp_path):
         list(read_jsonl(path))
 
 
+@pytest.mark.parametrize("line, kind", [("[1]", "list"), ('"a"', "str"), ("null", "NoneType")])
+def test_line_that_is_not_an_object_names_path_and_line(tmp_path, line, kind):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n")
+    with pytest.raises(JsonlError, match=re.escape(f"{path}:2: expected a JSON object, got {kind}")):
+        list(read_jsonl(path))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: save_checkpoint(path, {"w": np.zeros(3, np.float32)}),
+        lambda path: write_jsonl(path, [{"n": 1}]),
+        lambda path: reports.write_report(path, SUMMARY),
+    ],
+    ids=["checkpoint", "jsonl", "report"],
+)
+def test_write_creates_missing_parent_directories(tmp_path, write):
+    path = tmp_path / "a" / "b" / "artifact"
+    write(path)
+    assert path.exists()
+    assert os.listdir(path.parent) == ["artifact"]
+
+
 @pytest.mark.parametrize("text, message", [
     ("{bad", "invalid JSON"),
     ("", "invalid JSON"),
