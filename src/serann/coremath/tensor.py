@@ -12,8 +12,8 @@ transpose. Every layer is one tape node with a hand-written adjoint of its
 own (``ops``, ``rnn`` and the classifier's attention pooling).
 
 Graphs are built per step and discarded after ``backward``; parameters are
-long-lived leaves whose ``data`` the optimizer rebinds between steps. Inside a
-``no_grad()`` scope no tape is recorded at all, for inference.
+long-lived leaves whose ``data`` the optimizer updates in place between
+steps. Inside a ``no_grad()`` scope no tape is recorded at all, for inference.
 """
 
 from __future__ import annotations

@@ -195,8 +195,11 @@ def mel_spectrogram(clip: AudioClip) -> np.ndarray:
 
 
 def average_energy(clip: AudioClip) -> float:
-    frames = _frames(clip.samples, ENERGY_WIN, ENERGY_HOP)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    """Mean frame RMS; frames are squared ``PITCH_CHUNK`` at a time, so
+    memory stays flat however long the clip."""
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, ENERGY_WIN)[::ENERGY_HOP]
+    chunks = (frames[i : i + PITCH_CHUNK] for i in range(0, len(frames), PITCH_CHUNK))
+    rms = np.concatenate([np.sqrt(np.mean(chunk * chunk, axis=1)) for chunk in chunks])
     return float(rms.mean())
 
 

@@ -340,6 +340,43 @@ def reference_average_pitch(samples):
     return float(np.mean(pitches)) if pitches else 0.0
 
 
+def reference_average_energy(samples):
+    """``dsp.average_energy`` with every 25 ms frame of the clip gathered at
+    once by fancy indexing. The chunked version must give the same bits."""
+    n = 1 + (len(samples) - dsp.ENERGY_WIN) // dsp.ENERGY_HOP
+    frames = samples[np.arange(dsp.ENERGY_WIN)[None, :] + dsp.ENERGY_HOP * np.arange(n)[:, None]]
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    return float(rms.mean())
+
+
+def reference_adam_step(params, grads, state):
+    """``adam_step`` as whole-array expressions, each building a new array.
+    ``Adam.step`` and ``adam_step`` must give the same bits."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"gradient for {name!r} is not finite")
+    state.t += 1
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    updated = {}
+    for name, p in params.items():
+        g = np.asarray(grads.get(name, np.zeros_like(p)), dtype=p.dtype)
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            v = np.zeros_like(p)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        mhat = m / bc1
+        vhat = v / bc2
+        updated[name] = p - state.learning_rate * mhat / (np.sqrt(vhat) + eps)
+    return updated
+
+
 def tape_nodes(root):
     """Number of tensors reachable from ``root`` through recorded parents,
     ``root`` and the leaves included."""

@@ -80,6 +80,18 @@ def test_file_cut_at_any_byte_names_the_file(tmp_path):
             load_checkpoint(cut)
 
 
+def test_load_into_copies_the_blobs(blobs):
+    # Adam updates ``data`` in place, so a parameter must never share
+    # memory with the blob it was loaded from.
+    params = {name: Tensor(np.zeros(b.shape, b.dtype)) for name, b in blobs.items()}
+    load_into(params, blobs)
+    kept = {name: t.data.copy() for name, t in params.items()}
+    for blob in blobs.values():
+        blob += 1
+    for name, t in params.items():
+        assert t.data.tobytes() == kept[name].tobytes(), name
+
+
 def test_load_into_checks_names_and_shapes(tmp_path):
     path = tmp_path / "model.serann"
     save_checkpoint(path, {"w": np.zeros((2, 2), dtype=np.float32)})

@@ -287,6 +287,26 @@ class TestTraining:
         assert result.events == []
         assert {h["lr"] for h in result.history} == {model.config.lr_init}
 
+    def test_snapshot_and_restore_copy_rather_than_alias(self):
+        # Adam updates ``data`` in place: neither the snapshot taken nor the
+        # one restored from may follow the parameters it was made from.
+        model = EmotionClassifier(ClassifierConfig.desk(), Rng(3))
+        adam = Adam(model.params(), 1e-2)
+
+        def step():
+            for t in model.params().values():
+                t.grad = np.ones_like(t.data)
+            adam.step()
+
+        snapshot = classifier._snapshot(model)
+        kept = {name: a.copy() for name, a in snapshot.items()}
+        step()
+        classifier._restore(model, snapshot)
+        step()
+        for name, a in snapshot.items():
+            assert a.tobytes() == kept[name].tobytes(), name
+            assert not np.array_equal(model.params()[name].data, a), name
+
     def test_overfits_small_set_within_200_epochs(self, corpus_arrays):
         x, y = corpus_arrays
         xs, ys = x[:32], y[:32]

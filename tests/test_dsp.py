@@ -1,13 +1,21 @@
 import json
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WAV_DAMAGE, reference_average_pitch, reference_frame_autocorr
+from conftest import (
+    WAV_DAMAGE,
+    reference_average_energy,
+    reference_average_pitch,
+    reference_frame_autocorr,
+)
 from serann import dsp
+from serann.corpus import resolve_audio_path
 from serann.dsp import (
     AudioClip,
     AudioFormatError,
@@ -226,6 +234,38 @@ class TestEnergy:
         samples = tone(250, 0.8, 0.4)
         base = average_energy(AudioClip(samples))
         np.testing.assert_allclose(average_energy(AudioClip(2.0 * samples)), 2.0 * base, rtol=1e-9)
+
+    def test_corpus_clips_keep_the_bits(self, corpus_dir, corpus_records):
+        manifest = corpus_dir / "manifest.jsonl"
+        for record in corpus_records:
+            clip = dsp.read_wav(resolve_audio_path(manifest, record))
+            assert bits(average_energy(clip)) == bits(reference_average_energy(clip.samples))
+
+    @pytest.mark.parametrize("frames", [1, dsp.PITCH_CHUNK, dsp.PITCH_CHUNK + 1, 3 * dsp.PITCH_CHUNK])
+    def test_chunk_edges_keep_the_bits(self, frames):
+        samples = noisy_clip(frames, 3.0)[: dsp.ENERGY_WIN + (frames - 1) * dsp.ENERGY_HOP]
+        clip = SimpleNamespace(samples=samples)
+        assert bits(average_energy(clip)) == bits(reference_average_energy(samples))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(dsp.ENERGY_WIN, 20 * SR))
+    def test_random_clips_keep_the_bits(self, seed, length):
+        # From one 25 ms frame up: the energy framing itself allows clips
+        # shorter than the pitch window that ``AudioClip`` asks for.
+        samples = noisy_clip(seed, length / SR)[:length]
+        clip = SimpleNamespace(samples=samples)
+        assert bits(average_energy(clip)) == bits(reference_average_energy(samples))
+
+    def test_memory_flat_in_clip_length(self):
+        clip = AudioClip(noisy_clip(3, 60.0))
+        tracemalloc.start()
+        try:
+            average_energy(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The clip itself is 7.7 MB; all frames at once took 38 MB.
+        assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 class TestPitch:

@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import tape_nodes
+from conftest import reference_adam_step, tape_nodes
+from serann import classifier
 from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
     Adam,
@@ -22,6 +25,7 @@ from serann.coremath import (
     softmax_cross_entropy,
     tensor_sum,
 )
+from serann.vqvae import VqVae, VqVaeConfig
 
 
 def zero_params(d, units, dtype=np.float64):
@@ -197,3 +201,167 @@ class TestAdam:
         adam_step(params, grads, state)
         assert state.m["a"].shape == (2, 3)
         assert state.v["b"].shape == (5,)
+
+
+def oracle_params(dtype):
+    """Start values for the Adam oracle runs, with -0.0 entries; ``frozen``
+    never gets a gradient."""
+    rng = np.random.default_rng(0)
+    params = {
+        "w": rng.standard_normal((6, 5)),
+        "codes": rng.standard_normal((16, 3)),
+        "k": rng.standard_normal((4, 2, 3)),
+        "b": rng.standard_normal(5),
+        "frozen": rng.standard_normal((3, 4)),
+    }
+    params["w"][1, 0] = params["w"][2] = params["b"][0] = params["frozen"][0, 0] = -0.0
+    params["codes"][5] = -0.0
+    return {name: p.astype(dtype) for name, p in params.items()}
+
+
+def oracle_grads(step, dtype):
+    """Gradients for ``step`` (from 1). Rows 1 and 2 of ``w`` never move (2
+    gets -0.0), row 3 first moves at step 3 and row 4 at step 5, which takes
+    ``w`` off the row path; ``codes`` moves two rows a step like a codebook."""
+    rng = np.random.default_rng(100 + step)
+    w = rng.standard_normal((6, 5))
+    w[1] = 0.0
+    w[2] = -0.0
+    if step < 3:
+        w[3] = 0.0
+    if step < 5:
+        w[4] = -0.0
+    codes = np.zeros((16, 3))
+    codes[rng.choice(16, 2, replace=False)] = rng.standard_normal((2, 3))
+    codes[5] = -0.0
+    k = rng.standard_normal((4, 2, 3))
+    k[0] = 0.0
+    b = rng.standard_normal(5)
+    b[1] = -0.0
+    grads = {"w": w, "codes": codes, "k": k, "b": b}
+    return {name: g.astype(dtype) for name, g in grads.items()}
+
+
+def learning_rate(step, base):
+    return base if step <= 3 else base * 0.3
+
+
+def assert_same_bits(actual, expected):
+    assert actual.keys() == expected.keys()
+    for name in expected:
+        assert actual[name].dtype == expected[name].dtype, name
+        assert actual[name].tobytes() == expected[name].tobytes(), name
+
+
+class TestAdamOracle:
+    """``Adam.step`` and ``adam_step`` give the bits of the whole-array
+    update that ``reference_adam_step`` keeps."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("base, epsilon", [(1e-2, 1e-8), (-1e-2, 1e-8), (1e-2, 0.0)],
+                             ids=["default", "negative-lr", "zero-epsilon"])
+    def test_bound_and_functional_match_reference(self, dtype, base, epsilon):
+        # The last two cases move a never-touched row (p = -0.0 turns +0.0,
+        # or 0/0 gives NaN), so skipping rows must not apply there.
+        start = oracle_params(dtype)
+        tensors = {name: Tensor(p.copy(), requires_grad=True) for name, p in start.items()}
+        adam = Adam(tensors, base, epsilon=epsilon)
+        functional, reference = dict(start), dict(start)
+        f_state, r_state = AdamState(base, epsilon=epsilon), AdamState(base, epsilon=epsilon)
+        for step in range(1, 8):
+            grads = oracle_grads(step, dtype)
+            for state in (adam.state, f_state, r_state):
+                state.learning_rate = learning_rate(step, base)
+            for name, t in tensors.items():
+                t.grad = grads.get(name)
+            adam.step()
+            functional = adam_step(functional, grads, f_state)
+            reference = reference_adam_step(reference, grads, r_state)
+            assert_same_bits({name: t.data for name, t in tensors.items()}, reference)
+            assert_same_bits(functional, reference)
+            for state in (adam.state, f_state):
+                assert state.t == r_state.t
+                assert_same_bits(state.m, r_state.m)
+                assert_same_bits(state.v, r_state.v)
+
+    def test_untouched_rows_are_skipped(self):
+        tensors = {name: Tensor(p, requires_grad=True) for name, p in oracle_params(np.float32).items()}
+        adam = Adam(tensors, 1e-2)
+        for step in range(1, 6):
+            for name, t in tensors.items():
+                t.grad = oracle_grads(step, np.float32).get(name)
+            adam.step()
+            if step == 4:
+                # Rows 0, 3 and 5 moved: below the break-even of the row path.
+                assert np.flatnonzero(adam._live["w"]).tolist() == [0, 3, 5]
+        # Row 4 moves at step 5: the dense kernel is cheaper from then on.
+        assert "w" not in adam._live and "k" not in adam._live
+        assert "codes" in adam._live and "frozen" in adam._live
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fresh_optimizer_after_restore_matches_reference(self, dtype):
+        # The plateau schedule restores the best snapshot and builds a new
+        # Adam at the decayed rate, whose moments start from zero again.
+        tensors = {name: Tensor(p, requires_grad=True) for name, p in oracle_params(dtype).items()}
+        model = SimpleNamespace(params=lambda: tensors)
+        reference, r_state = oracle_params(dtype), AdamState(1e-2)
+        adam = Adam(model.params(), 1e-2)
+        snapshot = r_snapshot = None
+        for step in range(1, 8):
+            if step == 3:
+                snapshot, r_snapshot = classifier._snapshot(model), dict(reference)
+            if step == 5:
+                classifier._restore(model, snapshot)
+                reference = {name: p.copy() for name, p in r_snapshot.items()}
+                adam, r_state = Adam(model.params(), 5e-3), AdamState(5e-3)
+            grads = oracle_grads(step, dtype)
+            for name, t in tensors.items():
+                t.grad = grads.get(name)
+            adam.step()
+            reference = reference_adam_step(reference, grads, r_state)
+            assert_same_bits({name: t.data for name, t in tensors.items()}, reference)
+
+    def test_functional_step_leaves_its_inputs(self):
+        params = oracle_params(np.float64)
+        state = AdamState(1e-2)
+        adam_step(params, oracle_grads(1, np.float64), state)
+        grads = oracle_grads(2, np.float64)
+        before = [{n: a.copy() for n, a in d.items()} for d in (params, grads, state.m, state.v)]
+        old_m, old_v = dict(state.m), dict(state.v)
+        updated = adam_step(params, grads, state)
+        for now, then in zip((params, grads, old_m, old_v), before):
+            assert_same_bits(now, then)
+        for name, p in updated.items():
+            assert not np.shares_memory(p, params[name])
+            assert state.m[name] is not old_m[name] and state.v[name] is not old_v[name]
+
+    def test_same_tensor_twice_rejected(self):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ValueError, match="'a' and 'b'"):
+            Adam({"a": t, "b": t, "c": Tensor(np.zeros(2), requires_grad=True)}, 0.1)
+
+    def test_read_only_data_rejected(self):
+        data = np.zeros(2)
+        data.flags.writeable = False
+        with pytest.raises(ValueError, match="'w'"):
+            Adam({"w": Tensor(data), "ok": Tensor(np.zeros(2))}, 0.1)
+
+    def test_second_paper_size_step_allocates_less_than_one_codebook(self):
+        params = VqVae(VqVaeConfig(), Rng(0)).params()
+        rng = np.random.default_rng(0)
+        for name, t in params.items():
+            t.grad = rng.standard_normal(t.shape, dtype=np.float32)
+        codebook = params["codebook"]
+        picked = rng.choice(len(codebook.data), 128, replace=False)
+        codebook.grad = np.zeros_like(codebook.data)
+        codebook.grad[picked] = rng.standard_normal((128, codebook.shape[1]), dtype=np.float32)
+        adam = Adam(params, 1e-3)
+        adam.step()
+        tracemalloc.start()
+        try:
+            adam.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < codebook.data.nbytes, f"peak {peak} bytes"
