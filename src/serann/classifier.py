@@ -211,11 +211,8 @@ STOP = "stop"
 
 @dataclass
 class TrainState:
-    epoch: int = 0
-    current_lr: float = 0.0
     best_val_uar: float = float("-inf")
     best_checkpoint: dict[str, np.ndarray] = field(default_factory=dict)
-    epochs_since_improvement: int = 0
 
 
 class PlateauSchedule:
@@ -234,7 +231,6 @@ class PlateauSchedule:
         self.lr_floor = lr_floor
         self.baseline = float("-inf")
         self.stale = 0
-        self.decays = 0
         self._rebase_pending = False
 
     def update(self, val_metric: float) -> str:
@@ -251,7 +247,6 @@ class PlateauSchedule:
         if self.stale < self.patience:
             return WAIT
         self.current_lr *= self.decay
-        self.decays += 1
         self.stale = 0
         self._rebase_pending = True
         return STOP if self.current_lr < self.lr_floor else DECAY
@@ -327,16 +322,14 @@ def train(
     rng = Rng(seed).spawn("shuffle")
     adam = Adam(model.params(), cfg.lr_init)
     schedule = PlateauSchedule(cfg.lr_init, cfg.plateau_patience, cfg.lr_decay, cfg.lr_floor)
-    state = TrainState(current_lr=cfg.lr_init, best_checkpoint=_snapshot(model))
+    state = TrainState(best_checkpoint=_snapshot(model))
     history: list[dict] = []
     events: list[dict] = []
     limit = cfg.max_epochs if max_epochs is None else max_epochs
     writer = Path(history_path).open("w", encoding="utf-8") if history_path else None
     try:
         for epoch in range(1, limit + 1):
-            state.epoch = epoch
             lr_in_effect = schedule.current_lr
-            adam.learning_rate = lr_in_effect
             train_loss = train_epoch(model, train_x, train_y, adam, rng)
             if val_metric is not None:
                 val = float(val_metric(model, epoch))
@@ -344,15 +337,14 @@ def train(
                 pred, _ = predict(model, val_x)
                 val = mean_recall_present(val_y, pred)
             decision = schedule.update(val)
-            state.current_lr = schedule.current_lr
             if val > state.best_val_uar:
                 state.best_val_uar = val
                 state.best_checkpoint = _snapshot(model)
-            state.epochs_since_improvement = schedule.stale
             entry = {"epoch": epoch, "train_loss": train_loss, "val_uar": val, "lr": lr_in_effect}
             history.append(entry)
             if writer:
                 writer.write(json.dumps(entry, sort_keys=True) + "\n")
+                writer.flush()
             if decision in (DECAY, STOP):
                 _restore(model, state.best_checkpoint)
                 adam = Adam(model.params(), schedule.current_lr)

@@ -41,7 +41,9 @@ class AdamState:
 
 def _check_finite(grads: Mapping[str, np.ndarray], step: int) -> None:
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        # min and max propagate NaN and reach any infinity, so two
+        # reductions test every entry without a full-size boolean mask.
+        if not (np.isfinite(np.min(g, initial=0.0)) and np.isfinite(np.max(g, initial=0.0))):
             bad = int(np.size(g) - np.isfinite(g).sum())
             raise NonFiniteGradientError(
                 f"gradient for {name!r} has {bad} non-finite entries at step {step}"
@@ -157,14 +159,6 @@ class Adam:
         self.state = AdamState(learning_rate, beta1, beta2, epsilon)
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         self._live: dict[str, np.ndarray] = {}
-
-    @property
-    def learning_rate(self) -> float:
-        return self.state.learning_rate
-
-    @learning_rate.setter
-    def learning_rate(self, value: float) -> None:
-        self.state.learning_rate = value
 
     def _buffers(self, a: np.ndarray) -> tuple[np.ndarray, ...]:
         """The two scratch buffers for ``a``'s dtype, as views of its shape."""

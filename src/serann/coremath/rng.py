@@ -1,4 +1,4 @@
-"""Seeded, versioned random number generation.
+"""Seeded random number generation.
 
 One fixed algorithm (PCG64 behind numpy's Generator) so that a given seed
 reproduces the same draw sequence across runs and platforms. Components
@@ -13,13 +13,10 @@ import hashlib
 
 import numpy as np
 
-ALGORITHM = "pcg64-v1"
-
 
 class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.algorithm = ALGORITHM
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, tag: str) -> "Rng":

@@ -274,7 +274,7 @@ class Fold:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    kind: str  # loso | cross_corpus | fixed
+    kind: str  # loso | cross_corpus | fixed | augment_eval
     folds: tuple[Fold, ...]
 
 

@@ -158,27 +158,12 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frames(x: np.ndarray, win: int, hop: int) -> np.ndarray:
-    n = 1 + (len(x) - win) // hop
-    idx = np.arange(win)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx]
-
-
-def stft_power(samples: np.ndarray) -> np.ndarray:
-    """Power spectrogram, shape (frames, N_FFT // 2 + 1)."""
-    if len(samples) < WIN:
-        raise InsufficientAudioError(
-            f"need at least {WIN} samples for one window, got {len(samples)}"
-        )
-    frames = _frames(samples, WIN, HOP) * _hann_periodic(WIN)
-    spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
-    return np.abs(spectrum) ** 2
-
-
 def mel_spectrogram(clip: AudioClip) -> np.ndarray:
     """80 x 256 log-mel matrix, min-max scaled to [-1, 1], float32."""
     # Only the samples under the first N_FRAMES windows reach the output.
-    power = stft_power(clip.samples[: (N_FRAMES - 1) * HOP + WIN])
+    samples = clip.samples[: (N_FRAMES - 1) * HOP + WIN]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WIN)[::HOP] * _hann_periodic(WIN)
+    power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2  # (frames, N_FFT // 2 + 1)
     mel_power = power @ mel_filterbank().T
     logmel = np.log(mel_power + LOG_FLOOR).T  # (bands, frames)
     n = logmel.shape[1]

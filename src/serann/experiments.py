@@ -9,7 +9,7 @@ seed) as validation; train, validation, and test speakers stay disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .corpus import (
     uar,
 )
 from .coremath.rng import Rng
+from .dsp import N_FRAMES, N_MELS
 from .reports import SCHEMA_VERSION
 
 
@@ -42,7 +43,6 @@ from .reports import SCHEMA_VERSION
 class LabeledSet:
     x: np.ndarray  # (N, bands, frames)
     y: np.ndarray  # (N,)
-    ids: tuple[str, ...]
 
 
 def materialize(
@@ -57,9 +57,8 @@ def materialize(
         xs.append(mels_by_id[uid])
         ys.append(LABEL_INDEX[training_label(record, labels_source)])
     return LabeledSet(
-        x=np.stack(xs) if xs else np.zeros((0, 80, 256), dtype=np.float32),
+        x=np.stack(xs) if xs else np.zeros((0, N_MELS, N_FRAMES), dtype=np.float32),
         y=np.asarray(ys, dtype=np.int64),
-        ids=tuple(ids),
     )
 
 
@@ -217,39 +216,31 @@ def run_augment_eval(
     """Paired comparison: the same seeded base split trained twice per seed,
     once as-is (gold labels) and once with machine-labeled extras added to
     the training side. Validation and test always come from the base corpus
-    with gold labels."""
+    with gold labels. Each arm is one ``run_plan`` over single-fold plans of
+    kind ``augment_eval``."""
     merged = augment_merge(base_records, extra_records)
-    records_by_id = {r.utterance_id: r for r in merged.records}
     extra_ids = tuple(uid for uid, src in merged.provenance.items() if src == "llm")
 
-    base_uars: list[float] = []
-    aug_uars: list[float] = []
-    for seed in seeds:
-        plan = fixed_split(base_records, val_fraction, test_fraction, seed=seed)
-        fold = plan.folds[0]
-        base_uars.append(
-            run_fold(fold, records_by_id, mels_by_id, "gold", config, seed)
-        )
-        augmented_fold = Fold(
-            name="augmented",
-            train_ids=fold.train_ids + extra_ids,
-            val_ids=fold.val_ids,
-            test_ids=fold.test_ids,
-        )
-        aug_uars.append(
-            run_fold(augmented_fold, records_by_id, mels_by_id, "auto", config, seed)
-        )
-    digest = config_digest({"classifier": config.to_json(), "protocol": "augment_eval"})
-    baseline = aggregate_runs(base_uars, digest)
-    augmented = aggregate_runs(aug_uars, digest)
+    def plan_for(seed: int, augmented: bool) -> FoldPlan:
+        fold = fixed_split(base_records, val_fraction, test_fraction, seed=seed).folds[0]
+        if augmented:
+            fold = replace(fold, name="augmented", train_ids=fold.train_ids + extra_ids)
+        return FoldPlan(kind="augment_eval", folds=(fold,))
+
+    baseline = run_plan(
+        lambda seed: plan_for(seed, False), base_records, mels_by_id, "gold", config, seeds
+    )["aggregate"]
+    augmented = run_plan(
+        lambda seed: plan_for(seed, True), merged.records, mels_by_id, "auto", config, seeds
+    )["aggregate"]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "augment_eval",
         "seeds": [int(s) for s in seeds],
         "config": config.to_json(),
-        "baseline": baseline.to_json(),
-        "augmented": augmented.to_json(),
-        "delta_mean": augmented.mean - baseline.mean,
+        "baseline": baseline,
+        "augmented": augmented,
+        "delta_mean": augmented["mean"] - baseline["mean"],
         "extra_records_used": len(extra_ids),
         "extra_records_excluded": merged.excluded_unparseable,
     }

@@ -33,11 +33,10 @@ from .coremath.ops import _mean_square_grad, conv_output_size, mse
 from .coremath.optim import Adam
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
+from .dsp import N_FRAMES, N_MELS
 from .fileio import convert_field, read_jsonl, require_fields, write_jsonl
 
 GRID_POSITIONS = 64
-INPUT_BANDS = 80
-INPUT_FRAMES = 256
 
 # (stride, padding, transpose output_padding) per encoder layer, in encoder
 # order; the decoder applies them reversed.
@@ -82,7 +81,7 @@ class VqVaeConfig:
             raise ValueError(
                 f"last channel width ({self.channels[-1]}) must equal code_dim ({self.code_dim})"
             )
-        h, w = INPUT_BANDS, INPUT_FRAMES
+        h, w = N_MELS, N_FRAMES
         for (sh, sw), (ph, pw), _ in _LAYER_PLAN:
             h = conv_output_size(h, self.kernel, sh, 2 * ph)
             w = conv_output_size(w, self.kernel, sw, 2 * pw)
@@ -190,9 +189,9 @@ class VqVae(Checkpointable):
 
     def encode(self, mels: Tensor) -> Tensor:
         """(N, 1, 80, 256) -> latent grid (N, d, 1, 64)."""
-        if mels.ndim != 4 or mels.shape[1] != 1 or mels.shape[2:] != (INPUT_BANDS, INPUT_FRAMES):
+        if mels.ndim != 4 or mels.shape[1] != 1 or mels.shape[2:] != (N_MELS, N_FRAMES):
             raise ShapeError(
-                f"encoder input must be (N, 1, {INPUT_BANDS}, {INPUT_FRAMES}), got {mels.shape}"
+                f"encoder input must be (N, 1, {N_MELS}, {N_FRAMES}), got {mels.shape}"
             )
         out = mels
         for layer in self.encoder:
@@ -461,6 +460,7 @@ def train_vqvae(
             history.append(entry)
             if writer:
                 writer.write(json.dumps(entry, sort_keys=True) + "\n")
+                writer.flush()
     finally:
         if writer:
             writer.close()

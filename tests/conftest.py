@@ -5,9 +5,20 @@ import numpy as np
 import pytest
 
 from serann import dsp, synthetic
-from serann.corpus import LABEL_INDEX, load_manifest, resolve_audio_path
+from serann.corpus import (
+    LABEL_INDEX,
+    Fold,
+    aggregate_runs,
+    augment_merge,
+    config_digest,
+    fixed_split,
+    load_manifest,
+    resolve_audio_path,
+)
 from serann.coremath.rng import Rng
 from serann.coremath.tensor import Tensor, _needs_grad, mul, reshape
+from serann.experiments import run_fold
+from serann.reports import SCHEMA_VERSION
 
 ACCEPTANCE_CRITERIA = {
     1: "gradient suite: every differentiable op within 1e-4 of central differences, under 60 s",
@@ -375,6 +386,43 @@ def reference_adam_step(params, grads, state):
         vhat = v / bc2
         updated[name] = p - state.learning_rate * mhat / (np.sqrt(vhat) + eps)
     return updated
+
+
+def reference_run_augment_eval(
+    base_records, extra_records, mels_by_id, config, seeds, val_fraction=0.2, test_fraction=0.2
+):
+    """``experiments.run_augment_eval`` with its own seed loop: both arms
+    trained seed by seed through ``run_fold``, each aggregated on its own.
+    The ``run_plan`` version must give the same document."""
+    merged = augment_merge(base_records, extra_records)
+    records_by_id = {r.utterance_id: r for r in merged.records}
+    extra_ids = tuple(uid for uid, src in merged.provenance.items() if src == "llm")
+
+    base_uars, aug_uars = [], []
+    for seed in seeds:
+        fold = fixed_split(base_records, val_fraction, test_fraction, seed=seed).folds[0]
+        base_uars.append(run_fold(fold, records_by_id, mels_by_id, "gold", config, seed))
+        augmented_fold = Fold(
+            name="augmented",
+            train_ids=fold.train_ids + extra_ids,
+            val_ids=fold.val_ids,
+            test_ids=fold.test_ids,
+        )
+        aug_uars.append(run_fold(augmented_fold, records_by_id, mels_by_id, "auto", config, seed))
+    digest = config_digest({"classifier": config.to_json(), "protocol": "augment_eval"})
+    baseline = aggregate_runs(base_uars, digest)
+    augmented = aggregate_runs(aug_uars, digest)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "augment_eval",
+        "seeds": [int(s) for s in seeds],
+        "config": config.to_json(),
+        "baseline": baseline.to_json(),
+        "augmented": augmented.to_json(),
+        "delta_mean": augmented.mean - baseline.mean,
+        "extra_records_used": len(extra_ids),
+        "extra_records_excluded": merged.excluded_unparseable,
+    }
 
 
 def tape_nodes(root):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,22 @@ class TestTraining:
         )
         assert result.events == []
         assert {h["lr"] for h in result.history} == {model.config.lr_init}
+
+    def test_history_is_on_disk_after_every_epoch(self, corpus_arrays, tmp_path):
+        x, y = corpus_arrays
+        path = tmp_path / "history.jsonl"
+        lines_seen = []
+
+        def hook(epoch, decision, m, state):
+            lines_seen.append(len(path.read_text().splitlines()))
+
+        model = EmotionClassifier(ClassifierConfig.desk(), Rng(3))
+        result = train(
+            model, x[:8], y[:8], None, None, seed=5, val_metric=lambda m, epoch: 0.25,
+            max_epochs=6, history_path=path, epoch_hook=hook,
+        )
+        assert lines_seen == [1, 2, 3, 4, 5, 6]
+        assert path.read_text() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.history)
 
     def test_snapshot_and_restore_copy_rather_than_alias(self):
         # Adam updates ``data`` in place: neither the snapshot taken nor the

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import reference_run_augment_eval
 from serann.classifier import ClassifierConfig
 from serann.corpus import loso_folds
 from serann.experiments import (
@@ -101,6 +104,8 @@ class TestRunners:
         assert report["extra_records_used"] == 20
         assert len(report["baseline"]["uars"]) == 2
         assert len(report["augmented"]["uars"]) == 2
+        reference = reference_run_augment_eval(base, extra, mels, desk(), seeds=[1, 2])
+        assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
 class TestReportValidation:

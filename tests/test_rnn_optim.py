@@ -185,6 +185,21 @@ class TestAdam:
         with pytest.raises(NonFiniteGradientError, match="'w'"):
             adam_step({"w": np.array([1.0])}, {"w": np.array([np.nan])}, state)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_entry_is_caught_and_counted(self, dtype, bad):
+        rng = np.random.default_rng(1)
+        for shape in [(1,), (7,), (257,), (3, 5, 7)]:
+            g = rng.standard_normal(shape).astype(dtype)
+            g.flat[0] = g.flat[-1] = bad
+            count = 1 if g.size == 1 else 2
+            with pytest.raises(NonFiniteGradientError, match=f"'w' has {count} non-finite entries at step 1"):
+                adam_step({"w": np.zeros(shape, dtype)}, {"w": g}, AdamState(learning_rate=0.1))
+        finite = np.array([np.finfo(dtype).max, np.finfo(dtype).min, 0.0], dtype)
+        with np.errstate(over="ignore"):  # the kernel squares the largest finite values
+            for g in (finite, np.zeros(0, dtype)):
+                adam_step({"w": np.zeros(g.shape, dtype)}, {"w": g}, AdamState(learning_rate=0.1))
+
     def test_bound_optimizer_rebinds_data(self):
         t = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         opt = Adam({"w": t}, learning_rate=0.1)
@@ -365,3 +380,21 @@ class TestAdamOracle:
         finally:
             tracemalloc.stop()
         assert peak < codebook.data.nbytes, f"peak {peak} bytes"
+
+    def test_second_dense_paper_size_step_peaks_below_one_megabyte(self):
+        # Every row has a gradient, so the step runs the dense kernel on
+        # buffers the first step made; checking the gradients is allocation
+        # free as well.
+        params = VqVae(VqVaeConfig(), Rng(0)).params()
+        rng = np.random.default_rng(0)
+        for t in params.values():
+            t.grad = rng.standard_normal(t.shape, dtype=np.float32)
+        adam = Adam(params, 1e-3)
+        adam.step()
+        tracemalloc.start()
+        try:
+            adam.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} bytes"

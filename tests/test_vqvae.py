@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -395,6 +396,24 @@ class TestTraining:
         train_step(model, mels[:, None, :, :], adam)
         for name, value in model.params().items():
             np.testing.assert_array_equal(value.data, before[name])
+
+    def test_history_is_on_disk_after_every_epoch(self, monkeypatch, tmp_path):
+        # The holdout loss runs once per epoch, before that epoch's line.
+        path = tmp_path / "vq.history.jsonl"
+        lines_seen = []
+        holdout_loss = vqvae.reconstruction_loss
+
+        def reading_loss(model, mels, *args, **kwargs):
+            lines_seen.append(len(path.read_text().splitlines()))
+            return holdout_loss(model, mels, *args, **kwargs)
+
+        monkeypatch.setattr(vqvae, "reconstruction_loss", reading_loss)
+        mels, _ = two_pattern_mels(1, Rng(5))
+        _, history = vqvae.train_vqvae(
+            mels, VqVaeConfig.desk(), seed=4, epochs=3, holdout=mels[:1], history_path=path
+        )
+        assert lines_seen == [0, 1, 2]
+        assert path.read_text() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in history)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         model = VqVae(VqVaeConfig.desk(), Rng(9))
