@@ -54,7 +54,8 @@ def _load_mels_for(records, *mels_paths) -> dict:
         mels_by_id.update(dsp.load_mel_cache(path))
     missing = [r.utterance_id for r in records if r.utterance_id not in mels_by_id]
     if missing:
-        _fail(f"mel cache is missing {len(missing)} records (first: {missing[0]!r})")
+        caches = ", ".join(map(str, mels_paths))
+        _fail(f"{caches}: mel cache is missing {len(missing)} records (first: {missing[0]!r})")
     return mels_by_id
 
 

@@ -5,11 +5,21 @@ blob count, then per blob: u16 name length + UTF-8 name, a u8 dtype code
 (0 = float32, 1 = float64), a u8 rank, u32 dims, and the raw little-endian
 float data in C order. Blobs are written in sorted name order so identical
 parameters always serialize to identical bytes.
+
+Arrays move between the file and memory without a staging copy. Saving
+hands the header pieces and each array's own buffer to ``atomic_write``.
+Loading reads the header fields one at a time and ``readinto``s each blob
+straight into a fresh array; a blob's byte count, counted in Python ints,
+is checked against the file's size before the array is allocated, so a
+damaged header is a ``CheckpointError`` naming the file, never an
+allocation of the size it claims.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -35,7 +45,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 def save_checkpoint(path, blobs: Mapping[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(blobs))]
+    parts = [MAGIC, struct.pack("<HI", FORMAT_VERSION, len(blobs))]
     for name in sorted(blobs):
         arr = np.asarray(blobs[name])
         if arr.dtype not in _CODE_FOR_KIND:
@@ -43,56 +53,75 @@ def save_checkpoint(path, blobs: Mapping[str, np.ndarray]) -> None:
                 f"blob {name!r} has unsupported dtype {arr.dtype}; use float32 or float64"
             )
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<BB", _CODE_FOR_KIND[arr.dtype], arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    atomic_write(path, b"".join(parts))
+        parts.append(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                                 _CODE_FOR_KIND[arr.dtype], arr.ndim, *arr.shape))
+        # A view unless the array is strided or big-endian.
+        parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+    atomic_write(path, parts)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a parameter container (bad magic)")
-    off = len(MAGIC)
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
 
-    def take(size: int) -> int:
-        """Start of the next ``size`` bytes, which must all be in the file."""
-        nonlocal off
-        if off + size > len(raw):
-            raise CheckpointError(
-                f"{path}: truncated at byte {len(raw)} (a field needs bytes {off}..{off + size})"
+        def truncated(start: int, need: int) -> CheckpointError:
+            return CheckpointError(
+                f"{path}: truncated at byte {size} (a field needs bytes {start}..{start + need})"
             )
-        off += size
-        return off - size
 
-    (version,) = struct.unpack_from("<H", raw, take(2))
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
-        )
-    (count,) = struct.unpack_from("<I", raw, take(4))
-    blobs: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, take(2))
-        start = take(name_len)
-        name = raw[start : start + name_len].decode("utf-8")
-        code, ndim = struct.unpack_from("<BB", raw, take(2))
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(f"{path}: blob {name!r} has unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
-        dtype = _DTYPE_CODES[code]
-        items = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(raw, dtype=dtype, count=items, offset=take(items * dtype.itemsize))
-        blobs[name] = arr.reshape(shape).copy()
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after last blob")
+        def take(need: int) -> int:
+            """Claim the next ``need`` bytes, which must all be in the file."""
+            nonlocal off
+            if off + need > size:
+                raise truncated(off, need)
+            off += need
+            return off - need
+
+        def read(need: int) -> bytes:
+            start = take(need)
+            data = handle.read(need)
+            if len(data) != need:  # the file shrank while being read
+                raise truncated(start, need)
+            return data
+
+        if handle.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a parameter container (bad magic)")
+        off = len(MAGIC)
+        (version,) = struct.unpack("<H", read(2))
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
+            )
+        (count,) = struct.unpack("<I", read(4))
+        blobs: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", read(2))
+            start = off
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: blob name at byte {start} is not UTF-8") from exc
+            if name in blobs:
+                raise CheckpointError(f"{path}: blob {name!r} appears twice")
+            code, ndim = struct.unpack("<BB", read(2))
+            if code not in _DTYPE_CODES:
+                raise CheckpointError(f"{path}: blob {name!r} has unknown dtype code {code}")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            dtype = _DTYPE_CODES[code]
+            start = take(math.prod(shape) * dtype.itemsize)
+            try:
+                arr = np.empty(shape, dtype)
+            except ValueError as exc:  # a rank numpy cannot hold
+                raise CheckpointError(f"{path}: blob {name!r}: {exc}") from exc
+            if handle.readinto(arr) != arr.nbytes:
+                raise truncated(start, arr.nbytes)
+            blobs[name] = arr
+        if off != size:
+            raise CheckpointError(f"{path}: {size - off} trailing bytes after last blob")
     return blobs
 
 
-def load_into(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray]) -> None:
-    """Copy checkpoint blobs into model parameters, names and shapes checked."""
+def _assign(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray], copy: bool) -> None:
     missing = sorted(set(params) - set(blobs))
     extra = sorted(set(blobs) - set(params))
     if missing or extra:
@@ -105,7 +134,12 @@ def load_into(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray]) -> 
             raise CheckpointError(
                 f"blob {name!r} shape {tuple(blob.shape)} does not match model shape {tuple(tensor.shape)}"
             )
-        tensor.data = blob.astype(tensor.dtype, copy=True)
+        tensor.data = blob.astype(tensor.dtype, copy=copy)
+
+
+def load_into(params: Mapping[str, Tensor], blobs: Mapping[str, np.ndarray]) -> None:
+    """Copy checkpoint blobs into model parameters, names and shapes checked."""
+    _assign(params, blobs, copy=True)
 
 
 class _NoDraws:
@@ -148,5 +182,11 @@ class Checkpointable:
                 )
             config = cls.config_type.from_json(read_json(sidecar))
         model = cls(config, _NoDraws())
-        load_into(model.params(), load_checkpoint(path))
+        blobs = load_checkpoint(path)
+        # The blobs were just read and nothing else holds them, so
+        # parameters of the file's dtype take them without a copy.
+        try:
+            _assign(model.params(), blobs, copy=False)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         return model

@@ -1,7 +1,9 @@
 """Atomic whole-file writes and the JSONL record format of tabular artifacts.
 
 ``atomic_write`` replaces its target through a temporary file in the same
-directory, so a process killed mid-write leaves the previous file intact.
+directory, so a process killed mid-write leaves the previous file intact. It
+streams a sequence of buffers (header pieces and numpy arrays, say) into
+that file in order, so a caller never joins its parts into one staging copy.
 """
 
 from __future__ import annotations
@@ -9,20 +11,24 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class JsonlError(ValueError):
     """A JSON or JSONL file unfit for its reader; the message names the file."""
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Replace ``path`` with ``data``, creating its parent directory."""
+def atomic_write(path, data: bytes | Sequence) -> None:
+    """Replace ``path`` with ``data``, one bytes object or a sequence of
+    C-contiguous buffers written back to back; creates the parent directory."""
+    parts = (data,) if isinstance(data, bytes) else data
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as handle:
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -212,8 +212,18 @@ class VqVae(Checkpointable):
 
 
 def _check_codebook_rows(embeddings: np.ndarray) -> None:
-    rows = {row.tobytes() for row in embeddings}
-    if len(rows) != embeddings.shape[0]:
+    """Rows must differ in their bytes, so +0.0 and -0.0 differ and NaNs of
+    the same bits are equal, and be finite. Rows are ordered by the bit
+    pattern of their first entry; only rows that tie there are compared whole."""
+    bits = np.ascontiguousarray(embeddings).view(f"u{embeddings.itemsize}")
+    order = np.argsort(bits[:, 0])
+    first = bits[order, 0]
+    ties = first[1:] == first[:-1]
+    tied = np.zeros(len(bits), dtype=bool)
+    tied[1:] |= ties
+    tied[:-1] |= ties
+    suspects = bits[order[tied]]
+    if len(suspects) and len(np.unique(suspects, axis=0)) != len(suspects):
         raise CodebookError("codebook initialization produced identical rows")
     if not np.all(np.isfinite(embeddings)):
         raise CodebookError("codebook contains non-finite entries")

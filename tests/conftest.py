@@ -19,6 +19,7 @@ from serann.coremath.rng import Rng
 from serann.coremath.tensor import Tensor, _needs_grad, mul, reshape
 from serann.experiments import run_fold
 from serann.reports import SCHEMA_VERSION
+from serann.vqvae import CodebookError
 
 ACCEPTANCE_CRITERIA = {
     1: "gradient suite: every differentiable op within 1e-4 of central differences, under 60 s",
@@ -358,6 +359,16 @@ def reference_average_energy(samples):
     frames = samples[np.arange(dsp.ENERGY_WIN)[None, :] + dsp.ENERGY_HOP * np.arange(n)[:, None]]
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     return float(rms.mean())
+
+
+def reference_check_codebook_rows(embeddings):
+    """The codebook check as a set of row bytes: rows must differ in their
+    bytes, then be finite."""
+    rows = {row.tobytes() for row in embeddings}
+    if len(rows) != embeddings.shape[0]:
+        raise CodebookError("codebook initialization produced identical rows")
+    if not np.all(np.isfinite(embeddings)):
+        raise CodebookError("codebook contains non-finite entries")
 
 
 def reference_adam_step(params, grads, state):

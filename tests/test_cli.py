@@ -1,7 +1,11 @@
 import json
+import math
+import struct
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WAV_DAMAGE
 from serann import dsp, experiments
@@ -225,6 +229,20 @@ class TestFailures:
         assert list(tmp_path.iterdir()) == []
 
 
+def container_header_offsets(raw):
+    """Offsets of every byte of a ``.serann`` container that is not blob data."""
+    offsets = list(range(12))  # magic, version, blob count
+    off = 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        (name_len,) = struct.unpack_from("<H", raw, off)
+        code, ndim = struct.unpack_from("<BB", raw, off + 2 + name_len)
+        end = off + 4 + name_len + 4 * ndim
+        dims = struct.unpack_from(f"<{ndim}I", raw, end - 4 * ndim)
+        offsets += range(off, end)
+        off = end + math.prod(dims) * (4, 8)[code]
+    return offsets
+
+
 def assert_error_line(result, *fragments):
     """Exit status 1 with an ``error:`` line naming ``fragments``, and no
     exception escaping the command (which would print a traceback)."""
@@ -261,6 +279,33 @@ class TestMalformedInputs:
             "--mels", files["mels.serann"], *args,
         ])
         assert_error_line(result, str(cut), "truncated")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["vq.serann", "mels.serann"]), st.booleans(),
+           st.integers(0, 2**32 - 1), st.integers(1, 255))
+    def test_damaged_container_fails_as_one_line(self, pipeline_dir, tmp_path_factory,
+                                                 target, flip, point, mask):
+        """``encode`` over a container cut at a seeded byte, or with a seeded
+        header byte flipped, succeeds or names the file in one error line."""
+        raw = bytearray((pipeline_dir / target).read_bytes())
+        if flip:
+            headers = container_header_offsets(raw)
+            raw[headers[point % len(headers)]] ^= mask
+        else:
+            raw = raw[: point % len(raw)]
+        work = tmp_path_factory.mktemp("damaged")
+        damaged = work / target
+        damaged.write_bytes(raw)
+        files = {name: str(pipeline_dir / name) for name in ("mels.serann", "vq.serann")}
+        files[target] = str(damaged)
+        (work / "vq.serann.config.json").write_bytes((pipeline_dir / "vq.serann.config.json").read_bytes())
+        result = CliRunner().invoke(main, [
+            "encode", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", files["mels.serann"], "--checkpoint", files["vq.serann"],
+            "--out", str(work / "codes.jsonl"),
+        ])
+        if result.exit_code != 0:
+            assert_error_line(result, str(damaged))
 
     def test_manifest_line_missing_fields(self, pipeline_dir, tmp_path):
         manifest = tmp_path / "manifest.jsonl"
@@ -452,6 +497,7 @@ class TestMelCacheCheck:
         manifest = pipeline_dir / "corpus" / "manifest.jsonl"
         if protocol == "augment":
             missing, args = self.augment_args(pipeline_dir, tmp_path)
+            short = args[args.index("--extra-mels") + 1]
         else:
             short, missing = self.short_mels(pipeline_dir, tmp_path)
             args = ["train-classifier", "--folds", protocol, "--mels", short]
@@ -467,7 +513,7 @@ class TestMelCacheCheck:
             *args, "--desk-scale", "--max-epochs", "1", "--repeats", "1",
             "--out", str(out / "r.json"),
         ])
-        assert_error_line(result, f"mel cache is missing 1 records (first: {missing!r})")
+        assert_error_line(result, short, f"mel cache is missing 1 records (first: {missing!r})")
         assert not out.exists()
 
     def test_extras_left_out_of_training_need_no_mel(self, pipeline_dir, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from serann import fileio, reports
-from serann.coremath import save_checkpoint
+from serann.coremath import CheckpointError, save_checkpoint
 from serann.fileio import JsonlError, read_json, read_jsonl, write_jsonl
 
 SUMMARY = {
@@ -80,13 +80,40 @@ def test_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch, write
     write(path, 1)
     before = path.read_bytes()
 
-    def torn_write(self, data):
-        with open(self, "wb") as handle:
-            handle.write(data[: len(data) // 2])
-        raise OSError("killed mid-write")
+    class TornFile:
+        """The temporary file ``atomic_write`` opens, killed once half as
+        many bytes as the previous file holds are written: the write that
+        crosses that mark lands in part, then raises."""
 
-    monkeypatch.setattr(fileio.Path, "write_bytes", torn_write)
+        def __init__(self, name, mode):
+            self.handle = open(name, mode)
+            self.budget = len(before) // 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            self.handle.write(data[: self.budget])
+            if len(data) > self.budget:
+                raise OSError("killed mid-write")
+            self.budget -= len(data)
+
+    monkeypatch.setattr(fileio, "open", TornFile, raising=False)
     with pytest.raises(OSError, match="mid-write"):
         write(path, 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_checkpoint_with_a_bad_last_blob_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact"
+    save_checkpoint(path, {"a": np.ones(3, np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match="'z' has unsupported dtype"):
+        save_checkpoint(path, {"a": np.zeros(3, np.float32), "z": np.zeros(3, np.int32)})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["artifact"]

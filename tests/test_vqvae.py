@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_codes, reference_vq_losses, tape_nodes
+from conftest import brute_force_codes, reference_check_codebook_rows, reference_vq_losses, tape_nodes
 from serann import vqvae
 from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mse, mul, tensor_sum
 from serann.fileio import JsonlError
@@ -234,6 +234,43 @@ class TestQuantize:
         monkeypatch.setattr(Rng, "uniform", constant)
         with pytest.raises(CodebookError, match="identical rows"):
             VqVae(VqVaeConfig.desk(), Rng(0))
+
+    @pytest.mark.parametrize("dtype, unsigned", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_codebook_check_matches_the_row_bytes_reference(self, dtype, unsigned):
+        def outcome(check, embeddings):
+            try:
+                check(embeddings)
+            except CodebookError as exc:
+                return str(exc)
+            return None
+
+        nan, other_nan = np.array([0x7FC00000, 0x7FC00001] if dtype is np.float32 else
+                                  [0x7FF8000000000000, 0x7FF8000000000001], unsigned).view(dtype)
+        crafted = {
+            "distinct": [[1, 2], [3, 4], [5, 6]],
+            "one row": [[1, 2]],
+            "constant": [[1, 2]] * 4,
+            "duplicate far apart": [[1, 2], [3, 4], [5, 6], [1, 2]],
+            "first entry ties, rows differ": [[1, 2], [1, 3], [1, 4]],
+            "A B A in one tie": [[1, 2], [1, 3], [1, 2]],
+            "signed zeros first": [[0.0, 1], [-0.0, 1]],
+            "signed zeros later": [[1, 0.0], [1, -0.0]],
+            "same NaN bits": [[nan, 1], [nan, 1]],
+            "NaN payloads differ": [[nan, 1], [other_nan, 1]],
+            "infinite": [[1, 2], [np.inf, 2]],
+            "duplicate and infinite": [[np.inf, 2], [np.inf, 2]],
+        }
+        pool = np.array([0.0, -0.0, 1.0, -1.0, nan, other_nan, np.inf], dtype)
+        gen = np.random.default_rng(31)
+        random = {f"pool {i}": pool[gen.integers(0, len(pool), (gen.integers(1, 9), gen.integers(1, 4)))]
+                  for i in range(300)}
+        seen = set()
+        for name, rows in {**crafted, **random}.items():
+            embeddings = np.array(rows, dtype)
+            expected = outcome(reference_check_codebook_rows, embeddings)
+            assert outcome(vqvae._check_codebook_rows, embeddings) == expected, name
+            seen.add(expected)
+        assert len(seen) == 3  # passes, duplicate rows and non-finite rows all occur
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(CodebookError):
