@@ -229,8 +229,8 @@ def _check_codebook_rows(embeddings: np.ndarray) -> None:
         raise CodebookError("codebook contains non-finite entries")
 
 
-# Rows per GEMM block in ``nearest_codes`` are sized so a (rows, K) float64
-# distance block holds about this many elements (8 MB).
+# Rows per GEMM block in ``nearest_codes`` are sized so a (rows, K) distance
+# block holds about this many elements (4 MB in float32, 8 MB in float64).
 _DISTANCE_BLOCK = 2**20
 
 
@@ -241,61 +241,102 @@ def nearest_codes(z: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
     float64 distances ``((z - e) ** 2).sum(-1)`` (``_explicit_codes``); the
     GEMM below only narrows down which rows that formula must be run on.
 
-    Each row block first ranks the whole codebook by the exact-L2 expansion
-    ``approx_k = |z|^2 - 2 z.e_k + |e_k|^2`` in float64 through BLAS (the
-    decomposition FAISS uses). With n = D + 3 and u = 2**-53, let
-    gamma = n u / (1 - n u) and M = |z| + max_k |e_k|. Whatever the summation
-    order or FMA use, the GEMM value and the explicit sum are each within
-    gamma * M**2 of the true squared distance, plus an absolute n * 2**-1074
-    should products underflow. So the explicit formula's winner w satisfies
-    approx_w <= explicit_w + 2 err <= explicit_m + 2 err <= approx_m + 4 err
-    for m = argmin approx, and lies in the candidate set
-    {k : approx_k <= min approx + 4 err}. A row with one candidate takes it;
-    otherwise the explicit formula runs over its candidates in ascending
-    index order, which is the same contiguous reduction per (row, code) as
-    the full formula, so its argmin is bitwise the full formula's answer,
-    ties included. Rows whose minimum is not finite, or whose M**2 is 2**1000
-    or more so that a sum could overflow (NaN or inf latents or codebook
-    rows, huge values), take the explicit formula over the whole codebook.
+    The screen runs in the inputs' own precision: float32 when latents and
+    codebook are both float32 (every model call), float64 otherwise. Each
+    row block ranks the whole codebook by ``a_k = |e_k|^2 - 2 z.e_k``, one
+    GEMM plus the codebook's row norms (the exact-L2 expansion of Johnson,
+    Douze and Jegou, arXiv 1702.08734, less the |z|^2 all codes share).
+    Let u be the screen's unit roundoff, n = D + 3, g(u) = n u / (1 - n u)
+    and tiny its smallest normal number. Whatever the summation order or FMA
+    use, the dot product is within g(u) |z| |e_k| of z.e_k and the norm
+    within g(u) |e_k|^2 of |e_k|^2, n leaves room in g(u) for the one
+    rounding of their difference, and at most 6 n results that underflow,
+    gradually or flushed to zero, lose under tiny each. With |z| and E upper
+    bounds on the latent's norm and on max_k |e_k|, got from the rounded
+    norms, and M = |z| + E, a_k is within
+    err_s = g(u) (E^2 + 2 |z| E) + 6 n tiny of t_k = |z - e_k|^2 - |z|^2,
+    and the explicit sum x_k within err_x = g(2**-53) M^2 + 6 n tiny_64 of
+    |z - e_k|^2. The explicit winner w then satisfies
+    a_w <= t_w + err_s <= t_m + 2 err_x + err_s <= a_m + 2 (err_s + err_x)
+    for m = argmin a, and lies in {k : a_k <= a_m + 2 (err_s + err_x)}. That
+    slack is evaluated in float64 and enlarged by 2**-40 relative to cover
+    its own roundings; adding it to a_m rounds once in float64, so no
+    float32 or float64 value at most a_m + slack lies above the limit.
+
+    A row with one candidate takes it. The explicit formula runs on every
+    (row, candidate) pair of the other rows at once; each pair is the same
+    contiguous reduction as in the full formula, so the per-row argmin, ties
+    to the lowest index, is bitwise the full formula's answer. Rows whose
+    minimum is not finite, or whose M**2 reaches 2**(emax - 24) (2**104 in
+    float32, 2**1000 in float64) so that a sum could overflow (NaN or inf
+    latents or codebook rows, huge values), take the explicit formula over
+    the whole codebook.
     """
     if embeddings.size == 0:
         raise CodebookError("codebook is empty")
-    z64 = np.asarray(z, dtype=np.float64)
-    e64 = np.asarray(embeddings, dtype=np.float64)
-    if z64.ndim != 2 or e64.ndim != 2 or z64.shape[1] != e64.shape[1]:
+    z = np.asarray(z)
+    if z.ndim != 2 or embeddings.ndim != 2 or z.shape[1] != embeddings.shape[1]:
         raise ShapeError(
-            f"latent dim {z64.shape[-1]} does not match embedding dim {e64.shape[-1]}"
+            f"latent dim {z.shape[-1]} does not match embedding dim {embeddings.shape[-1]}"
         )
-    n = e64.shape[1] + 3
-    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
-    underflow = n * 2.0**-1074
-    ee = np.einsum("kd,kd->k", e64, e64)
-    e_norm_max = np.sqrt(ee.max())
-    block = max(1, _DISTANCE_BLOCK // len(e64))
-    codes = np.empty(len(z64), dtype=np.int64)
-    for start in range(0, len(z64), block):
-        chunk = z64[start : start + block]
-        zz = np.einsum("nd,nd->n", chunk, chunk)
+    work = np.float32 if z.dtype == embeddings.dtype == np.float32 else np.float64
+    z_w = np.asarray(z, dtype=work)
+    e_w = np.asarray(embeddings, dtype=work)
+    info, info64 = np.finfo(work), np.finfo(np.float64)
+    n = e_w.shape[1] + 3
+    u, u64 = float(info.eps) / 2, float(info64.eps) / 2
+    gamma = n * u / (1 - n * u)
+    gamma64 = n * u64 / (1 - n * u64)
+    underflow = 6 * n * float(info.tiny)
+    underflow64 = 6 * n * float(info64.tiny)
+    cutoff = 2.0 ** (info.maxexp - 24)
+    ee = np.einsum("kd,kd->k", e_w, e_w)
+    e_sq = (float(ee.max()) + underflow) / (1 - gamma)
+    e_norm = np.sqrt(e_sq)
+    block = max(1, _DISTANCE_BLOCK // len(e_w))
+    codes = np.empty(len(z_w), dtype=np.int64)
+    for start in range(0, len(z_w), block):
+        chunk = z_w[start : start + block]
+        z64 = np.asarray(chunk, dtype=np.float64)
+        out = codes[start : start + len(chunk)]
         # Non-finite rows are answered by the explicit formula below, which
         # raises its own floating-point warnings.
         with np.errstate(invalid="ignore", over="ignore"):
-            approx = chunk @ e64.T
+            approx = chunk @ e_w.T
             approx *= -2.0
-            approx += zz[:, None]
             approx += ee
-        lo = approx.min(axis=1)
-        scale = (np.sqrt(zz) + e_norm_max) ** 2
-        limit = lo + 4.0 * (gamma * scale + underflow)
-        finite = np.isfinite(lo) & (scale < 2.0**1000)
-        out = codes[start : start + len(chunk)]
-        out[:] = approx.argmin(axis=1)
+            out[:] = approx.argmin(axis=1)
+            z_norm = np.sqrt((np.einsum("nd,nd->n", z64, z64) + underflow64) / (1 - gamma64))
+            err_s = gamma * (e_sq + 2.0 * z_norm * e_norm) + underflow
+            err_x = gamma64 * (z_norm + e_norm) ** 2 + underflow64
+            slack = 2.0 * (err_s + err_x) * (1.0 + 2.0**-40)
+            limit = approx[np.arange(len(chunk)), out] + slack
+            finite = np.isfinite(limit) & ((z_norm + e_norm) ** 2 < cutoff)
+            candidates = approx <= limit[:, None]
         if not finite.all():
-            out[~finite] = _explicit_codes(chunk[~finite], e64)
-        candidates = approx <= limit[:, None]
-        for row in np.flatnonzero(finite & (candidates.sum(axis=1) > 1)):
-            cand = np.flatnonzero(candidates[row])
-            out[row] = cand[((chunk[row] - e64[cand]) ** 2).sum(axis=-1).argmin()]
+            out[~finite] = _explicit_codes(z64[~finite], np.asarray(embeddings, dtype=np.float64))
+        rerank = np.flatnonzero(finite & (np.count_nonzero(candidates, axis=1) > 1))
+        if len(rerank):
+            out[rerank] = _rerank(z64[rerank], embeddings, candidates[rerank])
     return codes
+
+
+def _rerank(z64: np.ndarray, embeddings: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Per row of the (rows, K) mask ``candidates``, the candidate with the
+    smallest explicit float64 distance, ties to the lowest index. Pairs are
+    taken in blocks that keep the (pairs, D) temporaries near 2 MB."""
+    rows, cols = np.nonzero(candidates)
+    dist = np.empty(len(rows))
+    step = max(1, 2**18 // z64.shape[1])
+    for start in range(0, len(rows), step):
+        r, c = rows[start : start + step], cols[start : start + step]
+        diff = z64[r] - np.asarray(embeddings[c], dtype=np.float64)
+        dist[start : start + step] = (diff**2).sum(axis=-1)
+    # Pairs come ordered by row, then index; a stable sort by row, then
+    # distance leaves each row's lowest-index best pair first.
+    order = np.lexsort((dist, rows))
+    ranked = rows[order]
+    return cols[order[np.r_[True, ranked[1:] != ranked[:-1]]]]
 
 
 def _explicit_codes(z64: np.ndarray, e64: np.ndarray) -> np.ndarray:
@@ -417,6 +458,8 @@ def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray], batch_size: int
 
 def reconstruction_loss(model: VqVae, mels: np.ndarray, batch_size: int = 32) -> float:
     """Mean squared reconstruction error over a (N, 80, 256) array."""
+    if len(mels) == 0:
+        raise ValueError("no mels to reconstruct")
     total = 0.0
     for x, z_q, _ in _quantized_batches(model, mels, batch_size):
         with no_grad():
@@ -439,6 +482,8 @@ def train_vqvae(
     """
     if len(mels) == 0:
         raise ValueError("training set is empty")
+    if holdout is not None and len(holdout) == 0:
+        raise ValueError("holdout set is empty")
     rng = Rng(seed)
     model = VqVae(config, rng.spawn("model"))
     shuffle_rng = rng.spawn("shuffle")
@@ -494,9 +539,27 @@ def write_codes(path, codes_by_id: Mapping[str, Sequence[int]]) -> None:
     )
 
 
+def _utterance_id(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _code_row(values) -> list[int]:
+    """``values`` itself if it is a list of non-negative JSON integers;
+    booleans, floats and negative numbers are refused, not rounded."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of codes, got {type(values).__name__}")
+    for code in values:
+        if type(code) is not int or code < 0:
+            raise ValueError(f"expected non-negative integer codes, got {code!r}")
+    return values
+
+
 def load_codes(path) -> dict[str, list[int]]:
     codes = {}
     for lineno, record in read_jsonl(path):
         uid, row = require_fields(path, lineno, record, "utterance_id", "codes")
-        codes[uid] = convert_field(path, lineno, "codes", row, lambda values: [int(c) for c in values])
+        uid = convert_field(path, lineno, "utterance_id", uid, _utterance_id)
+        codes[uid] = convert_field(path, lineno, "codes", row, _code_row)
     return codes

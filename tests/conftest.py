@@ -78,6 +78,47 @@ def brute_force_codes(z, embeddings):
     )
 
 
+def reference_nearest_codes(z, embeddings):
+    """``vqvae.nearest_codes`` as it was before the screen ran in the inputs'
+    own precision: a float64 copy of the codebook per call, the float64 GEMM
+    expansion ``|z|^2 - 2 z.e + |e|^2`` with a (|z| + max|e|)^2 bound, and a
+    per-row loop over rows with several candidates; non-finite rows go to
+    ``brute_force_codes``, the same argmin. Its codes are the bitwise oracle
+    for the new screen."""
+    from serann.vqvae import _DISTANCE_BLOCK
+
+    z64 = np.asarray(z, dtype=np.float64)
+    e64 = np.asarray(embeddings, dtype=np.float64)
+    n = e64.shape[1] + 3
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    underflow = n * 2.0**-1074
+    ee = np.einsum("kd,kd->k", e64, e64)
+    e_norm_max = np.sqrt(ee.max())
+    block = max(1, _DISTANCE_BLOCK // len(e64))
+    codes = np.empty(len(z64), dtype=np.int64)
+    for start in range(0, len(z64), block):
+        chunk = z64[start : start + block]
+        zz = np.einsum("nd,nd->n", chunk, chunk)
+        with np.errstate(invalid="ignore", over="ignore"):
+            approx = chunk @ e64.T
+            approx *= -2.0
+            approx += zz[:, None]
+            approx += ee
+        lo = approx.min(axis=1)
+        scale = (np.sqrt(zz) + e_norm_max) ** 2
+        limit = lo + 4.0 * (gamma * scale + underflow)
+        finite = np.isfinite(lo) & (scale < 2.0**1000)
+        out = codes[start : start + len(chunk)]
+        out[:] = approx.argmin(axis=1)
+        if not finite.all():
+            out[~finite] = brute_force_codes(chunk[~finite], e64)
+        candidates = approx <= limit[:, None]
+        for row in np.flatnonzero(finite & (candidates.sum(axis=1) > 1)):
+            cand = np.flatnonzero(candidates[row])
+            out[row] = cand[((chunk[row] - e64[cand]) ** 2).sum(axis=-1).argmin()]
+    return codes
+
+
 def _reference_gather(xp, kh, kw, sh, sw, oh, ow):
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)

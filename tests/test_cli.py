@@ -324,6 +324,7 @@ class TestMalformedInputs:
         ("--features", "features.jsonl",
          '{"utterance_id": "x", "avg_energy": "loud", "avg_pitch_hz": 1.0}', "field 'avg_energy'"),
         ("--codes", "codes.jsonl", '{"utterance_id": "x", "codes": ["x"]}', "field 'codes'"),
+        ("--codes", "codes.jsonl", '{"utterance_id": "x", "codes": "123"}', "field 'codes'"),
     ])
     def test_bad_context_file_line(self, pipeline_dir, tmp_path, option, source, line, expected):
         bad = tmp_path / source

@@ -1,14 +1,31 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_codes, reference_check_codebook_rows, reference_vq_losses, tape_nodes
+from conftest import (
+    brute_force_codes,
+    reference_check_codebook_rows,
+    reference_nearest_codes,
+    reference_vq_losses,
+    tape_nodes,
+)
 from serann import vqvae
-from serann.coremath import Adam, Rng, ShapeError, Tensor, finite_diff_grad_check, mse, mul, tensor_sum
+from serann.coremath import (
+    Adam,
+    Rng,
+    ShapeError,
+    Tensor,
+    finite_diff_grad_check,
+    mse,
+    mul,
+    no_grad,
+    tensor_sum,
+)
 from serann.fileio import JsonlError
 from serann.synthetic import two_pattern_mels
 from serann.vqvae import (
@@ -276,6 +293,135 @@ class TestQuantize:
         with pytest.raises(CodebookError):
             nearest_codes(np.zeros((1, 2)), np.zeros((0, 2)))
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.1, 1.0, 26.0]))
+    def test_float32_matches_bruteforce_at_the_initial_codebook(self, seed, norm):
+        # The paper's initial codebook, uniform in +-1/K, against float32
+        # latents of about the norms an encoder gives before training (0.1,
+        # 1) and after a step at paper size (26).
+        gen = np.random.default_rng(seed)
+        k = 8192
+        embeddings = gen.uniform(-1.0 / k, 1.0 / k, (k, 512)).astype(np.float32)
+        z = gen.normal(size=(6, 512))
+        z *= norm * gen.uniform(0.9, 1.1, (6, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+        z = z.astype(np.float32)
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    def test_float32_near_ties_go_through_one_rerank(self, monkeypatch):
+        # Codebook and latents sit 1e-3 apart around a point 1e3 out, so the
+        # float32 GEMM's rounding swamps the gaps between distances. Every
+        # row keeps many candidates, and all of them are re-checked in one
+        # call that spans several pair blocks.
+        gen = np.random.default_rng(5)
+        base = gen.normal(size=512) * 1e3
+        embeddings = (base + gen.normal(size=(64, 512)) * 1e-3).astype(np.float32)
+        z = (base + gen.normal(size=(32, 512)) * 1e-3).astype(np.float32)
+        expected = brute_force_codes(z, embeddings)
+        ee = np.einsum("kd,kd->k", embeddings, embeddings)
+        gemm_only = (ee - 2.0 * (z @ embeddings.T)).argmin(axis=1)
+        assert np.sum(gemm_only != expected) >= 16
+        pairs = []
+        rerank = vqvae._rerank
+
+        def counting_rerank(z64, e, candidates):
+            pairs.append(int(candidates.sum()))
+            return rerank(z64, e, candidates)
+
+        monkeypatch.setattr(vqvae, "_rerank", counting_rerank)
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), expected)
+        assert len(pairs) == 1 and pairs[0] > 2 * (2**18 // 512)
+
+    def test_float32_cross_term_sets_the_bound(self):
+        # Latents of norm 1e4 against rows of norm about 1 that differ only
+        # across the latents' direction: the true gaps (about 1e-3) lie
+        # between the rounding of the norms alone and that of the dot
+        # products, so a bound without the cross term loses the winner.
+        gen = np.random.default_rng(14)
+        direction = gen.normal(size=64)
+        direction /= np.linalg.norm(direction)
+        across = gen.normal(size=(128, 64)) * 1e-2
+        across -= np.outer(across @ direction, direction)
+        embeddings = (direction + across).astype(np.float32)
+        z = (1e4 * direction + gen.normal(size=(16, 64)) * 1e-3).astype(np.float32)
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    def test_float32_exact_rows_and_duplicates(self):
+        gen = np.random.default_rng(8)
+        embeddings = gen.normal(size=(256, 64)).astype(np.float32)
+        embeddings[250] = embeddings[10]
+        near = embeddings[250] + (gen.normal(size=64) * 1e-3).astype(np.float32)
+        z = np.vstack([embeddings[[3, 10, 250, 99]], near])
+        assert z.dtype == np.float32
+        assert nearest_codes(z, embeddings).tolist() == [3, 10, 10, 99, 10]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", [
+        "squares overflow", "just under the cutoff", "row squares overflow",
+        "subnormal latents", "subnormal rows", "nan and inf latents", "nan row", "inf row",
+    ])
+    def test_float32_extreme_values_keep_the_explicit_answer(self, case):
+        gen = np.random.default_rng(12)
+        embeddings = gen.normal(size=(64, 16)).astype(np.float32)
+        z = gen.normal(size=(12, 16)).astype(np.float32)
+        if case == "squares overflow":
+            z[::2] *= np.float32(1e20)
+        elif case == "just under the cutoff":
+            z[::2] *= np.float32(1e14)
+        elif case == "row squares overflow":
+            embeddings[9] = 1e20
+            z[0] = 1e20
+        elif case == "subnormal latents":
+            z *= np.float32(1e-40)
+        elif case == "subnormal rows":
+            embeddings[::2] *= np.float32(1e-40)
+            z[::3] *= np.float32(1e-40)
+        elif case == "nan and inf latents":
+            z[1, 3], z[2, 0], z[3] = np.nan, np.inf, -np.inf
+        elif case == "nan row":
+            embeddings[5, 0] = np.nan
+        else:
+            embeddings[7, 0] = np.inf
+        assert z.dtype == embeddings.dtype == np.float32
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    @pytest.mark.parametrize("z_dtype, e_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_precisions_match_bruteforce(self, z_dtype, e_dtype):
+        gen = np.random.default_rng(13)
+        embeddings = gen.normal(size=(128, 32)).astype(e_dtype)
+        z = gen.normal(size=(40, 32)).astype(z_dtype)
+        z[:5] = embeddings[[1, 2, 3, 4, 5]]
+        np.testing.assert_array_equal(nearest_codes(z, embeddings), brute_force_codes(z, embeddings))
+
+    def test_matches_the_float64_screen_on_encoder_latents(self, desk_model, corpus_mels):
+        # Float32 latents of a desk model and of a paper-size model after one
+        # step on two clips, as the benchmark trains it: the same codes as
+        # the float64 screen that the float32 one replaced.
+        mels = np.stack([corpus_mels[uid] for uid in sorted(corpus_mels)[:4]]).astype(np.float32)
+        paper = VqVae(VqVaeConfig(), Rng(1))
+        train_step(paper, mels[:2, None], Adam(paper.params(), paper.config.learning_rate))
+        for model in (desk_model, paper):
+            with no_grad():
+                z = flatten_grid(model.encode(Tensor(mels[:, None]))).data
+            assert z.dtype == model.codebook.data.dtype == np.float32
+            np.testing.assert_array_equal(
+                nearest_codes(z, model.codebook.data), reference_nearest_codes(z, model.codebook.data)
+            )
+
+    def test_paper_size_screen_copies_no_codebook(self):
+        # 64 float32 latents (one utterance) against the paper's float32
+        # codebook: the screen's peak stays under one codebook's bytes.
+        gen = np.random.default_rng(9)
+        k, d = 8192, 512
+        embeddings = gen.uniform(-1.0 / k, 1.0 / k, (k, d)).astype(np.float32)
+        z = (gen.normal(size=(64, d)) / np.sqrt(d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            nearest_codes(z, embeddings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < embeddings.nbytes
+
 
 def grid(rows, n=1):
     """(n * P, d) rows -> an (n, d, 1, P) latent grid that requires grad."""
@@ -452,6 +598,18 @@ class TestTraining:
         assert lines_seen == [0, 1, 2]
         assert path.read_text() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in history)
 
+    def test_empty_holdout_fails_before_the_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(vqvae, "train_step", lambda *args: steps.append(args))
+        mels, _ = two_pattern_mels(1, Rng(5))
+        with pytest.raises(ValueError, match="holdout set is empty"):
+            vqvae.train_vqvae(mels, VqVaeConfig.desk(), seed=4, epochs=1, holdout=mels[:0])
+        assert steps == []
+
+    def test_reconstruction_loss_of_no_mels_is_an_error(self, desk_model):
+        with pytest.raises(ValueError, match="no mels"):
+            reconstruction_loss(desk_model, np.zeros((0, 80, 256), dtype=np.float32))
+
     def test_checkpoint_roundtrip(self, tmp_path):
         model = VqVae(VqVaeConfig.desk(), Rng(9))
         path = tmp_path / "vq.serann"
@@ -493,6 +651,26 @@ class TestExtractCodes:
         lines[1] = lines[1].replace("[3, 4]", f"[3, {code}]")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field 'codes'")):
+            load_codes(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("codes", '"123"'),
+        ("codes", "[1.7, 2]"),
+        ("codes", "[true, 2]"),
+        ("codes", "[1, -5]"),
+        ("codes", '{"9": 1}'),
+        ("codes", "[1e30]"),
+        ("utterance_id", "7"),
+        ("utterance_id", "null"),
+    ])
+    def test_malformed_codes_line_names_line_and_field(self, tmp_path, field, value):
+        # Each of these used to load as something else: a string as its
+        # digits, floats and booleans truncated, a dict as its keys.
+        path = tmp_path / "codes.jsonl"
+        record = {"utterance_id": '"b"', "codes": "[3, 4]", field: value}
+        second = "{" + ", ".join(f'"{key}": {text}' for key, text in record.items()) + "}"
+        path.write_text('{"utterance_id": "a", "codes": [1, 2]}\n' + second + "\n")
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field '{field}'")):
             load_codes(path)
 
     def test_batched_matches_per_utterance(self, desk_model):
