@@ -19,7 +19,7 @@ from serann.coremath.rng import Rng
 from serann.coremath.tensor import Tensor, _needs_grad, mul, reshape
 from serann.experiments import run_fold
 from serann.reports import SCHEMA_VERSION
-from serann.vqvae import CodebookError
+from serann.vqvae import _DISTANCE_BLOCK, CodebookError
 
 ACCEPTANCE_CRITERIA = {
     1: "gradient suite: every differentiable op within 1e-4 of central differences, under 60 s",
@@ -85,8 +85,6 @@ def reference_nearest_codes(z, embeddings):
     per-row loop over rows with several candidates; non-finite rows go to
     ``brute_force_codes``, the same argmin. Its codes are the bitwise oracle
     for the new screen."""
-    from serann.vqvae import _DISTANCE_BLOCK
-
     z64 = np.asarray(z, dtype=np.float64)
     e64 = np.asarray(embeddings, dtype=np.float64)
     n = e64.shape[1] + 3
