@@ -22,20 +22,32 @@ channel-major, as a contiguous (C*kh*kw, N*OH*OW) matrix, i.e. a
 - the kernel gradient is one GEMM, ``(cols @ g(F, N*OH*OW).T).T``, on the
   matrix itself (below ``_SMALL_GEMM`` it takes a copy).
 
-``_scatter_products`` forms the products that go back onto an image (the
-input gradient and the transpose's forward) and scatter-adds them a chunk
-of whole samples at a time, about ``_CHUNK_ELEMENTS`` (2**22) column
-elements per chunk, so their memory stays bounded whatever the batch (after
-Cho & Brand, "MEC", arXiv 1706.06873).
+Every im2col pass works through the batch a chunk of whole samples at a
+time, sized by the one constant ``_CHUNK_ELEMENTS`` to about 2**18 column
+elements (1 MB in float32), so a chunk's columns are still in cache when
+its GEMM or its scatter reads them (after Cho & Brand, "MEC", arXiv
+1706.06873):
 
-On a given BLAS the results are bitwise equal to the unchunked im2col
-lowering whose kernel gradient contracts a transposed copy of the columns,
-with bias and ReLU as separate ops (``reference_conv2d`` and
-``reference_conv2d_transpose`` in tests/conftest.py): every GEMM element is
-summed in the same order (see ``_SMALL_GEMM``), and every scatter adds the
-kernel taps in the same (i, j) order. The transpose reads its input through
-a C-contiguous copy, so its kernel-gradient bits do not depend on the
-caller's memory layout.
+- ``conv2d`` pads each chunk into a reused zero-bordered buffer, gathers it
+  into a reused column buffer, multiplies it straight into the output and
+  applies the bias and ReLU there; it allocates no whole-batch padded copy
+  or column matrix. A call that records a tape node takes the whole batch
+  as one chunk and keeps its columns, because the kernel gradient is one
+  GEMM over all of them;
+- ``_scatter_products`` forms the products that go back onto an image (the
+  input gradient and the transpose's forward) into a reused chunk buffer
+  and scatter-adds them.
+
+Chunks hold whole samples, and each sample's GEMM is the same BLAS call
+whatever the chunk: only the leading dimension of its column operand
+changes. So the chunk size moves no bit. On a given BLAS the results are
+bitwise equal to the unchunked im2col lowering whose kernel gradient
+contracts a transposed copy of the columns, with bias and ReLU as separate
+ops (``reference_conv2d`` and ``reference_conv2d_transpose`` in
+tests/conftest.py): every GEMM element is summed in the same order (see
+``_SMALL_GEMM``), and every scatter adds the kernel taps in the same (i, j)
+order. The transpose reads its input through a C-contiguous copy, so its
+kernel-gradient bits do not depend on the caller's memory layout.
 
 ``dense`` and ``mse`` are likewise bitwise equal to the chains of general
 tape ops they replace (``reference_dense`` and ``reference_mse`` in
@@ -49,9 +61,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor, _needs_grad
 
-# Samples per chunk of the scattered products are sized so one chunk of
-# columns holds about this many elements (16 MB in float32).
-_CHUNK_ELEMENTS = 2**22
+# Samples per chunk of every im2col pass are sized so one chunk of columns
+# holds about this many elements (1 MB in float32), within a core's L2. A
+# sweep over 2**16-2**20 found 2**17-2**20 equally fast (see CHANGES.md).
+_CHUNK_ELEMENTS = 2**18
 
 # OpenBLAS gives each element of a GEMM the same bits whichever operand
 # comes first or is transposed, except that on AVX-512 machines it hands
@@ -114,19 +127,28 @@ def _epilogue_grad(g: np.ndarray, out: np.ndarray, bias: Tensor | None, activati
     return g
 
 
-def _gather(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+def _chunk(ckk: int, positions: int) -> int:
+    """Samples per chunk of im2col columns, ``ckk * positions`` per sample."""
+    return max(1, _CHUNK_ELEMENTS // (ckk * positions))
+
+
+def _gather(xp: np.ndarray, kh, kw, sh, sw, oh, ow, out: np.ndarray) -> np.ndarray:
     """Windows of ``xp`` (N, C, Hp, Wp) as a contiguous (C*kh*kw, N*OH*OW)
-    matrix, laid out (C, kh, kw, N, OH, OW)."""
+    matrix, laid out (C, kh, kw, N, OH, OW), written to the front of the
+    flat buffer ``out``."""
     n, c = xp.shape[:2]
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, : sh * (oh - 1) + 1 : sh, : sw * (ow - 1) + 1 : sw]
-    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    cols = out[: n * c * kh * kw * oh * ow].reshape(c, kh, kw, n, oh, ow)
+    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
     return cols.reshape(c * kh * kw, n * oh * ow)
 
 
-def _per_sample(k2: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+def _per_sample(
+    k2: np.ndarray, cols: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``k2 @`` each sample's columns of ``_gather``'s matrix: (N, F, OH*OW)."""
-    return np.matmul(k2, cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
+    return np.matmul(k2, cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2), out=out)
 
 
 def _kernel_grad(g2: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -147,10 +169,11 @@ def _scatter_products(
     of samples at a time, kernel taps in (i, j) order."""
     n, c = buf.shape[:2]
     ckk = k2.shape[1]
-    step = max(1, _CHUNK_ELEMENTS // (ckk * oh * ow))
+    step = _chunk(ckk, oh * ow)
+    cols_buf = np.empty((min(step, n), ckk, oh * ow), np.result_type(k2, g2))
     for start in range(0, n, step):
         part = buf[start : start + step]
-        cols = np.matmul(k2.T, g2[start : start + step])
+        cols = np.matmul(k2.T, g2[start : start + step], out=cols_buf[: len(part)])
         cols = cols.reshape(len(part), c, kh, kw, oh, ow)
         for i in range(kh):
             for j in range(kw):
@@ -189,14 +212,23 @@ def conv2d(
     oh = conv_output_size(h, kh, sh, pt + pb)
     ow = conv_output_size(w, kw, sw, pl + pr)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _gather(xp, kh, kw, sh, sw, oh, ow)
-    k2 = kernels.data.reshape(f, c * kh * kw)
-    out_data = _per_sample(k2, cols, n).reshape(n, f, oh, ow)
-    _epilogue(out_data, bias, activation)
-
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    if not _needs_grad(*parents):
+    taped = _needs_grad(*parents)
+    # The kernel gradient is one GEMM over the whole column matrix, so a
+    # taped call gathers the batch as one chunk and keeps its columns.
+    step = n if taped else _chunk(c * kh * kw, oh * ow)
+    xp = np.zeros((min(step, n), c, hp, wp), x.dtype)
+    cols_buf = np.empty(len(xp) * c * kh * kw * oh * ow, x.dtype)
+    k2 = kernels.data.reshape(f, c * kh * kw)
+    out_data = np.empty((n, f, oh, ow), np.result_type(k2, xp))
+    for start in range(0, n, step):
+        part = xp[: min(step, n - start)]
+        part[:, :, pt : pt + h, pl : pl + w] = x.data[start : start + step]
+        cols = _gather(part, kh, kw, sh, sw, oh, ow, cols_buf)
+        out_part = out_data[start : start + step]
+        _per_sample(k2, cols, len(part), out_part.reshape(len(part), f, oh * ow))
+        _epilogue(out_part, bias, activation)
+    if not taped:
         return Tensor(out_data)
 
     def backprop(g):
@@ -267,7 +299,7 @@ def conv2d_transpose(
         g = _epilogue_grad(g, out_data, bias, activation)
         gbuf = np.zeros((n, c, bh, bw), dtype=g.dtype)
         gbuf[:, :, pt : bh - pb, pl : bw - pr] = g
-        gcols = _gather(gbuf, kh, kw, sh, sw, h, w)
+        gcols = _gather(gbuf, kh, kw, sh, sw, h, w, np.empty(n * c * kh * kw * h * w, g.dtype))
         if x.requires_grad:
             x.accumulate_grad(_per_sample(k2, gcols, n).reshape(n, f, h, w))
         if kernels.requires_grad:

@@ -33,15 +33,15 @@ class LstmParams:
 
 
 class _Direction:
-    """One direction's recurrence over (N, T, D) input, writing its hidden
-    states to ``h_out`` and keeping what BPTT needs, laid out (N, T, ...)."""
+    """One direction's recurrence over the (N * T, D) rows ``x2`` of an
+    (N, T, D) input, writing its hidden states to ``h_out`` (N, T, U) and
+    keeping what BPTT needs, laid out (N, T, ...)."""
 
-    def __init__(self, x: np.ndarray, p: LstmParams, reverse: bool, h_out: np.ndarray):
-        n, t, d = x.shape
-        u = p.units
-        self.x, self.p = x, p
+    def __init__(self, x2: np.ndarray, p: LstmParams, reverse: bool, h_out: np.ndarray):
+        n, t, u = h_out.shape
+        self.x2, self.p = x2, p
         self.steps = range(t - 1, -1, -1) if reverse else range(t)
-        xw = (x.reshape(n * t, d) @ p.wx.data).reshape(n, t, 4 * u)
+        xw = (x2 @ p.wx.data).reshape(n, t, 4 * u)
         self.gates = np.empty(xw.shape, h_out.dtype)  # i, f, g, o activations
         self.c_prev, self.h_prev, self.tanh_c = (np.empty(h_out.shape, h_out.dtype) for _ in range(3))
         h = c = np.zeros((n, u), h_out.dtype)
@@ -58,8 +58,7 @@ class _Direction:
     def backprop(self, g: np.ndarray) -> np.ndarray:
         """BPTT of the output gradient ``g`` (N, T, U) into this direction's
         parameters; returns the gate pre-activation gradients (N * T, 4U)."""
-        n, t, d = self.x.shape
-        u = self.p.units
+        n, t, u = g.shape
         dz_all = np.empty(self.gates.shape, np.result_type(self.gates, g))
         dh = dc = np.zeros((n, u), dtype=g.dtype)
         for s in reversed(self.steps):
@@ -76,7 +75,7 @@ class _Direction:
             dc = dc * f
             dh = dz @ self.p.wh.data.T
         dz2 = dz_all.reshape(n * t, 4 * u)
-        self.p.wx.accumulate_grad(self.x.reshape(n * t, d).T @ dz2)
+        self.p.wx.accumulate_grad(self.x2.T @ dz2)
         self.p.wh.accumulate_grad(self.h_prev.reshape(n * t, u).T @ dz2)
         self.p.b.accumulate_grad(dz2.sum(axis=0))
         return dz2
@@ -96,8 +95,11 @@ def bilstm(x: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
     params = (forward.wx, forward.wh, forward.b, backward.wx, backward.wh, backward.b)
     u = forward.units
     out = np.empty((n, t, u + backward.units), np.result_type(x.data, *(q.data for q in params)))
-    fwd = _Direction(x.data, forward, False, out[:, :, :u])
-    bwd = _Direction(x.data, backward, True, out[:, :, u:])
+    # One contiguous copy of the input serves both directions' projections
+    # and their weight gradients; the classifier hands over a strided view.
+    x2 = np.ascontiguousarray(x.data).reshape(n * t, d)
+    fwd = _Direction(x2, forward, False, out[:, :, :u])
+    bwd = _Direction(x2, backward, True, out[:, :, u:])
     if not _needs_grad(x, *params):
         return Tensor(out)
 

@@ -9,6 +9,7 @@ that file in order, so a caller never joins its parts into one staging copy.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -86,3 +87,24 @@ def convert_field(path, lineno: int, name: str, value, convert):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise JsonlError(f"{path}:{lineno}: field {name!r}: {exc}") from exc
+
+
+def json_string(value) -> str:
+    """``value`` itself if it is a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def json_finite_number(value) -> float:
+    """``value`` as a float if it is a finite JSON number; booleans, strings
+    and the non-standard NaN and Infinity literals are refused, not converted."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number}")
+    return number

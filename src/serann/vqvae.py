@@ -34,7 +34,7 @@ from .coremath.optim import Adam
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 from .dsp import N_FRAMES, N_MELS
-from .fileio import convert_field, read_jsonl, require_fields, write_jsonl
+from .fileio import convert_field, json_string, read_jsonl, require_fields, write_jsonl
 
 GRID_POSITIONS = 64
 
@@ -539,12 +539,6 @@ def write_codes(path, codes_by_id: Mapping[str, Sequence[int]]) -> None:
     )
 
 
-def _utterance_id(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
 def _code_row(values) -> list[int]:
     """``values`` itself if it is a list of non-negative JSON integers;
     booleans, floats and negative numbers are refused, not rounded."""
@@ -560,6 +554,6 @@ def load_codes(path) -> dict[str, list[int]]:
     codes = {}
     for lineno, record in read_jsonl(path):
         uid, row = require_fields(path, lineno, record, "utterance_id", "codes")
-        uid = convert_field(path, lineno, "utterance_id", uid, _utterance_id)
+        uid = convert_field(path, lineno, "utterance_id", uid, json_string)
         codes[uid] = convert_field(path, lineno, "codes", row, _code_row)
     return codes

@@ -323,6 +323,9 @@ class TestMalformedInputs:
         ("--codes", "codes.jsonl", '{"utterance_id": "x"}', "missing field 'codes'"),
         ("--features", "features.jsonl",
          '{"utterance_id": "x", "avg_energy": "loud", "avg_pitch_hz": 1.0}', "field 'avg_energy'"),
+        ("--features", "features.jsonl",
+         '{"utterance_id": 7, "avg_energy": true, "avg_pitch_hz": "nan", "gender": 5}',
+         "field 'utterance_id'"),
         ("--codes", "codes.jsonl", '{"utterance_id": "x", "codes": ["x"]}', "field 'codes'"),
         ("--codes", "codes.jsonl", '{"utterance_id": "x", "codes": "123"}', "field 'codes'"),
     ])

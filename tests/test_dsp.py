@@ -410,6 +410,34 @@ class TestFeatureFiles:
         with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field {field!r}")):
             dsp.load_features(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("utterance_id", "7"),
+        ("avg_energy", "true"),
+        ("avg_pitch_hz", '"nan"'),
+        ("avg_pitch_hz", "NaN"),
+        ("avg_energy", "Infinity"),
+        ("avg_pitch_hz", "1e400"),
+        ("gender", "5"),
+    ])
+    def test_ill_typed_field_names_line_and_field(self, tmp_path, field, value):
+        # Only string ids and genders and finite JSON numbers load; nothing
+        # is coerced (a bool is not 1.0, the string "nan" is not NaN).
+        path = tmp_path / "features.jsonl"
+        good = {"utterance_id": '"a"', "avg_energy": "1", "avg_pitch_hz": "190.5",
+                "gender": '"male"'}
+        lines = ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+                 for fields in (good, {**good, field: value}))
+        path.write_text("".join(lines))
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field {field!r}")):
+            dsp.load_features(path)
+
+    def test_integer_features_load_as_floats(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        path.write_text('{"utterance_id": "a", "avg_energy": 1, "avg_pitch_hz": 0}\n')
+        loaded = dsp.load_features(path)["a"]
+        assert (loaded.avg_energy, loaded.avg_pitch_hz, loaded.gender) == (1.0, 0.0, "unknown")
+        assert type(loaded.avg_energy) is float and type(loaded.avg_pitch_hz) is float
+
     def test_mel_cache_roundtrip_and_determinism(self, tmp_path, rng):
         mels = {f"utt{i}": rng.normal(0, 1, (80, 256), np.float32) for i in range(3)}
         a, b = tmp_path / "a.mels", tmp_path / "b.mels"

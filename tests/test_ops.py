@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from serann.coremath import (
     finite_diff_grad_check,
     mse,
     mul,
+    no_grad,
     ops,
     softmax_cross_entropy,
     tensor_sum,
@@ -277,8 +280,8 @@ class TestConvMatchesReference:
         chunks = []
         matmul = np.matmul
 
-        def recording_matmul(a, b):
-            out = matmul(a, b)
+        def recording_matmul(a, b, **kwargs):
+            out = matmul(a, b, **kwargs)
             if out.shape[1] == ckk:  # a (samples, C*kh*kw, positions) product
                 chunks.append(out.shape[0])
             return out
@@ -293,6 +296,70 @@ class TestConvMatchesReference:
         shape, kernel, _, _, op, reference = conv_case("asymmetric", transpose)
         case = ((3,) + shape, kernel, None, np.float64, "relu", True)
         assert_same_bits(forward_backward(op, *case), forward_backward(reference, *case))
+
+
+class TestStreamedForward:
+    """Without a tape, ``conv2d`` pads, gathers, multiplies and applies its
+    epilogue a chunk of whole samples at a time, through buffers of one
+    chunk's size; each sample's GEMM is the same call, so no bit moves."""
+
+    @pytest.mark.parametrize("name", ["classifier.conv1", "classifier.conv2", "vqvae.enc4"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_samples", [3, None])
+    def test_bitwise_equal_to_taped_and_reference(self, monkeypatch, name, dtype, chunk_samples):
+        shape, kernel, channels, per_sample, op, reference = conv_case(name, False)
+        if chunk_samples is not None:
+            monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", chunk_samples * per_sample)
+        gen = np.random.default_rng(29)
+        k = Tensor(gen.normal(0, 0.5, kernel).astype(dtype), requires_grad=True)
+        b = Tensor(gen.normal(0, 0.5, channels).astype(dtype), requires_grad=True)
+        for batch in (1, 7, 64):
+            x = Tensor(gen.normal(size=(batch,) + shape).astype(dtype))
+            for bias, activation in ((None, None), (b, "relu")):
+                taped = op(x, k, bias, activation)
+                with no_grad():
+                    streamed = op(x, k, bias, activation)
+                assert taped.requires_grad and not streamed.requires_grad
+                want = reference(x, k, bias, activation).data
+                assert streamed.data.dtype == want.dtype and streamed.data.shape == want.shape
+                assert streamed.data.tobytes() == taped.data.tobytes() == want.tobytes()
+
+    def test_untaped_products_come_a_chunk_of_samples_at_a_time(self, monkeypatch):
+        shape, kernel, _, per_sample, op, _ = conv_case("classifier.conv2", False)
+        monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", 3 * per_sample)
+        chunks = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, **kwargs):
+            out = matmul(a, b, **kwargs)
+            chunks.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        x, k = Tensor(np.ones((7,) + shape)), Tensor(np.ones(kernel), requires_grad=True)
+        with no_grad():
+            op(x, k, None, "relu")
+        assert chunks == [3, 3, 1]
+        chunks.clear()
+        op(x, k, None, "relu")  # the kernel gradient needs the whole batch's columns
+        assert chunks == [7]
+
+    def test_untaped_paper_conv2_peaks_at_its_output_plus_a_few_chunks(self):
+        # Paper-size classifier conv2 at the predict batch: the whole-batch
+        # column matrix alone would be 64 * 288 * 1280 float32 (94 MB).
+        gen = np.random.default_rng(31)
+        x = Tensor(gen.normal(size=(64, 32, 40, 128)).astype(np.float32))
+        k = Tensor(gen.normal(0, 0.1, (64, 32, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(64, np.float32))
+        chunk_bytes = max(ops._CHUNK_ELEMENTS, 288 * 1280) * 4
+        tracemalloc.start()
+        try:
+            out = conv2d(x, k, 2, 1, b, "relu")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64, 64, 20, 64)
+        assert peak < out.data.nbytes + 4 * chunk_bytes
 
 
 class TestConvLayers:

@@ -105,6 +105,25 @@ class TestBiLstm:
         assert out.shape == (3, 7, 7)
         np.testing.assert_allclose(out.data, reference_bilstm(x, fwd, bwd), rtol=0, atol=1e-12)
 
+    def test_strided_input_keeps_the_bits(self, rng):
+        # The classifier hands bilstm a transposed view; the op copies it
+        # once for both directions and the backward pass.
+        data = rng.normal(0, 1, (3, 5, 7), np.float32)
+        weights = rng.normal(0, 1, (3, 7, 8), np.float32)
+
+        def run(values):
+            fwd, bwd = random_params(5, 4, Rng(8)), random_params(5, 4, Rng(9))
+            x = Tensor(values, requires_grad=True)
+            out = bilstm(x, fwd, bwd)
+            tensor_sum(mul(out, Tensor(weights))).backward()
+            params = (fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b)
+            return [out.data, x.grad] + [q.grad for q in params]
+
+        view = data.transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        for got, want in zip(run(view), run(np.ascontiguousarray(view))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_gradcheck_t3_d2_u2(self, rng):
         fwd = random_params(2, 2, rng)
         bwd = random_params(2, 2, rng)
