@@ -20,10 +20,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..corpus import UNPARSEABLE, UtteranceRecord
+from ..corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
 from ..dsp import UtteranceFeatures
-from ..fileio import read_jsonl, require_fields, write_jsonl
+from ..fileio import JsonlError, convert_field, json_string, read_jsonl, require_fields, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     TEMPLATE_VERSION,
@@ -310,11 +310,19 @@ def write_annotations(path, results: Sequence[AnnotationResult]) -> None:
 
 
 def load_annotations(path) -> dict[str, AnnotationResult]:
-    results = (
-        AnnotationResult(*require_fields(path, lineno, record, *_RESULT_FIELDS))
-        for lineno, record in read_jsonl(path)
-    )
-    return {result.utterance_id: result for result in results}
+    """Annotation results by utterance id; a field that is not a string, or a
+    label outside ``LABELS`` and "unparseable", is a JsonlError naming
+    ``path:line`` and the field."""
+    results = {}
+    for lineno, record in read_jsonl(path):
+        values = require_fields(path, lineno, record, *_RESULT_FIELDS)
+        result = AnnotationResult(*(convert_field(path, lineno, name, value, json_string)
+                                    for name, value in zip(_RESULT_FIELDS, values)))
+        if result.label not in (*LABELS, UNPARSEABLE):
+            raise JsonlError(f"{path}:{lineno}: field 'label': expected one of "
+                             f"{', '.join(LABELS)} or {UNPARSEABLE}, got {result.label!r}")
+        results[result.utterance_id] = result
+    return results
 
 
 def apply_annotations(

@@ -20,18 +20,16 @@ below the floor, or at the hard epoch cap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .corpus import LABELS, mean_recall_present
-from .coremath.checkpoint import Checkpointable
+from .coremath.checkpoint import Checkpointable, load_into
 from .coremath.layers import BiLstm, Conv2d, Dense, xavier_uniform
 from .coremath.ops import conv_output_size, softmax_cross_entropy
-from .coremath.optim import Adam
+from .coremath.optim import Adam, History, minibatch_step, shuffled_batches
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 
@@ -265,32 +263,16 @@ def _snapshot(model: EmotionClassifier) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in model.params().items()}
 
 
-def _restore(model: EmotionClassifier, snapshot: Mapping[str, np.ndarray]) -> None:
-    for name, t in model.params().items():
-        t.data = snapshot[name].copy()
-
-
 def train_epoch(
     model: EmotionClassifier, x: np.ndarray, y: np.ndarray, adam: Adam, rng: Rng
 ) -> float:
     """One pass over (N, bands, frames) inputs; returns mean batch loss."""
-    order = rng.permutation(len(x))
-    batch = model.config.batch_size
+    batches = shuffled_batches(rng, len(x), model.config.batch_size)
     total = 0.0
-    steps = 0
-    for start in range(0, len(x), batch):
-        idx = order[start : start + batch]
+    for idx in batches:
         inputs = Tensor(np.asarray(x[idx], dtype=model.dtype)[:, None, :, :])
-        loss = softmax_cross_entropy(model.forward(inputs), y[idx])
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise FloatingPointError(f"non-finite training loss at step {adam.state.t + 1}")
-        loss.backward()
-        adam.step()
-        adam.zero_grad()
-        total += value
-        steps += 1
-    return total / max(steps, 1)
+        total += minibatch_step(softmax_cross_entropy(model.forward(inputs), y[idx]), adam)
+    return total / max(len(batches), 1)
 
 
 def train(
@@ -301,7 +283,6 @@ def train(
     val_y: np.ndarray | None,
     seed: int,
     val_metric: Callable[[EmotionClassifier, int], float] | None = None,
-    max_epochs: int | None = None,
     history_path=None,
     epoch_hook: Callable[[int, str, EmotionClassifier, TrainState], None] | None = None,
 ) -> TrainResult:
@@ -323,44 +304,34 @@ def train(
     adam = Adam(model.params(), cfg.lr_init)
     schedule = PlateauSchedule(cfg.lr_init, cfg.plateau_patience, cfg.lr_decay, cfg.lr_floor)
     state = TrainState(best_checkpoint=_snapshot(model))
-    history: list[dict] = []
     events: list[dict] = []
-    limit = cfg.max_epochs if max_epochs is None else max_epochs
-    writer = Path(history_path).open("w", encoding="utf-8") if history_path else None
-    try:
-        for epoch in range(1, limit + 1):
-            lr_in_effect = schedule.current_lr
-            train_loss = train_epoch(model, train_x, train_y, adam, rng)
-            if val_metric is not None:
-                val = float(val_metric(model, epoch))
-            else:
-                pred, _ = predict(model, val_x)
-                val = mean_recall_present(val_y, pred)
-            decision = schedule.update(val)
-            if val > state.best_val_uar:
-                state.best_val_uar = val
-                state.best_checkpoint = _snapshot(model)
-            entry = {"epoch": epoch, "train_loss": train_loss, "val_uar": val, "lr": lr_in_effect}
-            history.append(entry)
-            if writer:
-                writer.write(json.dumps(entry, sort_keys=True) + "\n")
-                writer.flush()
-            if decision in (DECAY, STOP):
-                _restore(model, state.best_checkpoint)
-                adam = Adam(model.params(), schedule.current_lr)
-                events.append({"epoch": epoch, "event": decision, "lr": schedule.current_lr})
-            if epoch_hook is not None:
-                epoch_hook(epoch, decision, model, state)
-            if decision == STOP:
-                break
-    finally:
-        if writer:
-            writer.close()
-    _restore(model, state.best_checkpoint)
+    history = History(history_path)
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr_in_effect = schedule.current_lr
+        train_loss = train_epoch(model, train_x, train_y, adam, rng)
+        if val_metric is not None:
+            val = float(val_metric(model, epoch))
+        else:
+            pred, _ = predict(model, val_x)
+            val = mean_recall_present(val_y, pred)
+        decision = schedule.update(val)
+        if val > state.best_val_uar:
+            state.best_val_uar = val
+            state.best_checkpoint = _snapshot(model)
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_uar": val, "lr": lr_in_effect})
+        if decision in (DECAY, STOP):
+            load_into(model.params(), state.best_checkpoint)
+            adam = Adam(model.params(), schedule.current_lr)
+            events.append({"epoch": epoch, "event": decision, "lr": schedule.current_lr})
+        if epoch_hook is not None:
+            epoch_hook(epoch, decision, model, state)
+        if decision == STOP:
+            break
+    load_into(model.params(), state.best_checkpoint)
     return TrainResult(
         best_params=state.best_checkpoint,
         best_val_uar=state.best_val_uar,
-        history=history,
+        history=history.entries,
         events=events,
-        epochs_run=len(history),
+        epochs_run=len(history.entries),
     )

@@ -17,7 +17,7 @@ from .ops import (
     mse,
     softmax_cross_entropy,
 )
-from .optim import Adam, AdamState, NonFiniteGradientError, adam_step
+from .optim import Adam, AdamState, NonFiniteGradientError, NonFiniteLossError, adam_step
 from .rng import Rng
 from .rnn import EmptySequenceError, LstmParams, bilstm
 from .tensor import (
@@ -44,6 +44,7 @@ __all__ = [
     "EmptySequenceError",
     "LstmParams",
     "NonFiniteGradientError",
+    "NonFiniteLossError",
     "Rng",
     "ShapeError",
     "Tensor",

@@ -1,4 +1,4 @@
-"""Adam with bias correction.
+"""Adam with bias correction, and the parts every training loop shares.
 
 ``Adam`` binds the update to a dict of parameter tensors for training loops
 and updates each ``data`` in place; ``adam_step`` is the functional form over
@@ -6,15 +6,23 @@ plain arrays, which leaves its inputs untouched and returns new arrays. Both
 run one kernel, ``_update``, which writes its results with ``out=``. Moments
 and the step counter live in ``AdamState`` so optimizer state can be
 inspected or rebuilt.
+
+Both trainers share three plain helpers: ``shuffled_batches`` splits an
+epoch into batches, ``minibatch_step`` refuses a non-finite loss or runs
+backward, ``Adam.step`` and ``zero_grad``, and ``History`` keeps the epoch
+entries and streams each one to disk.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from .rng import Rng
 from .tensor import Tensor
 
 # Array passes (reads plus writes, counted per ufunc call) of ``_update``,
@@ -25,6 +33,10 @@ _GATHER_SCATTER_PASSES = 14
 
 
 class NonFiniteGradientError(FloatingPointError):
+    pass
+
+
+class NonFiniteLossError(FloatingPointError):
     pass
 
 
@@ -215,3 +227,42 @@ class Adam:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
+
+
+def minibatch_step(loss: Tensor, adam: Adam, **terms: float) -> float:
+    """Backpropagate the scalar ``loss``, step ``adam``, clear the gradients
+    and return the loss value. A non-finite loss raises NonFiniteLossError,
+    naming the step and the ``terms`` it was summed from, before any change."""
+    value = float(loss.data)
+    if not np.isfinite(value):
+        detail = ": " + ", ".join(f"{name}={term}" for name, term in terms.items()) if terms else ""
+        raise NonFiniteLossError(f"non-finite loss at optimizer step {adam.state.t + 1}{detail}")
+    loss.backward()
+    adam.step()
+    adam.zero_grad()
+    return value
+
+
+def shuffled_batches(rng: Rng, n: int, batch_size: int) -> list[np.ndarray]:
+    """One epoch's batches: a permutation of ``range(n)`` drawn from ``rng``,
+    cut into index arrays of ``batch_size`` (the last may be shorter)."""
+    order = rng.permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+class History:
+    """Epoch entries, kept in ``entries`` and appended to the file at ``path``
+    (emptied first) as sorted-keys JSON lines. The file is closed after each
+    line, so a crash loses at most the epoch in progress."""
+
+    def __init__(self, path=None):
+        self.entries: list[dict] = []
+        self.path = path
+        if path:
+            Path(path).write_bytes(b"")
+
+    def append(self, entry: dict) -> None:
+        self.entries.append(entry)
+        if self.path:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(entry, sort_keys=True) + "\n")

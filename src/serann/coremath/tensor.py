@@ -73,9 +73,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     # -- autodiff ------------------------------------------------------
 
     def accumulate_grad(self, g: np.ndarray) -> None:

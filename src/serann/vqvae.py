@@ -20,9 +20,7 @@ padding so its window sits on rows 0..2 of the residual 5-row map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from .coremath.checkpoint import Checkpointable
 from .coremath.layers import Conv2d, ConvTranspose2d
 from .coremath.ops import _mean_square_grad, conv_output_size, mse
-from .coremath.optim import Adam
+from .coremath.optim import Adam, History, NonFiniteLossError, minibatch_step, shuffled_batches
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 from .dsp import N_FRAMES, N_MELS
@@ -47,10 +45,6 @@ _LAYER_PLAN = (
     ((2, 1), (1, 1), (1, 0)),
     ((5, 1), (0, 1), (2, 0)),
 )
-
-
-class NonFiniteLossError(FloatingPointError):
-    pass
 
 
 class CodebookError(ValueError):
@@ -426,23 +420,9 @@ def train_step(model: VqVae, batch: np.ndarray, adam: Adam) -> tuple[LossBundle,
     z_q, codes = quantize(z_e, model.codebook)
     recon = mse(x, model.decode(z_q))
     cb, commit = codebook_losses(z_e, model.codebook, codes, model.config.beta)
-    total = recon + cb + commit
-    losses = LossBundle(
-        reconstruction=float(recon.data),
-        codebook=float(cb.data),
-        commitment=float(commit.data),
-        total=float(total.data),
-    )
-    if not np.isfinite(losses.total):
-        raise NonFiniteLossError(
-            f"non-finite loss at optimizer step {adam.state.t + 1}: "
-            f"recon={losses.reconstruction}, codebook={losses.codebook}, "
-            f"commitment={losses.commitment}"
-        )
-    total.backward()
-    adam.step()
-    adam.zero_grad()
-    return losses, codes
+    terms = {"recon": float(recon.data), "codebook": float(cb.data), "commitment": float(commit.data)}
+    total = minibatch_step(recon + cb + commit, adam, **terms)
+    return LossBundle(terms["recon"], terms["codebook"], terms["commitment"], total), codes
 
 
 def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray], batch_size: int = 32):
@@ -489,37 +469,26 @@ def train_vqvae(
     shuffle_rng = rng.spawn("shuffle")
     adam = Adam(model.params(), config.learning_rate)
     epochs = config.epochs if epochs is None else epochs
-    batch = config.batch_size
     data = np.asarray(mels, dtype=model.dtype)[:, None, :, :]
-    history: list[dict] = []
-    writer = Path(history_path).open("w", encoding="utf-8") if history_path else None
-    try:
-        for epoch in range(1, epochs + 1):
-            order = shuffle_rng.permutation(len(data))
-            sums = np.zeros(4)
-            steps = 0
-            for start in range(0, len(data), batch):
-                chunk = data[order[start : start + batch]]
-                losses, _ = train_step(model, chunk, adam)
-                sums += (losses.reconstruction, losses.codebook, losses.commitment, losses.total)
-                steps += 1
-            entry = {
-                "epoch": epoch,
-                "reconstruction": sums[0] / steps,
-                "codebook": sums[1] / steps,
-                "commitment": sums[2] / steps,
-                "total": sums[3] / steps,
-            }
-            if holdout is not None:
-                entry["holdout_reconstruction"] = reconstruction_loss(model, holdout)
-            history.append(entry)
-            if writer:
-                writer.write(json.dumps(entry, sort_keys=True) + "\n")
-                writer.flush()
-    finally:
-        if writer:
-            writer.close()
-    return model, history
+    history = History(history_path)
+    for epoch in range(1, epochs + 1):
+        batches = shuffled_batches(shuffle_rng, len(data), config.batch_size)
+        sums = np.zeros(4)
+        for idx in batches:
+            losses, _ = train_step(model, data[idx], adam)
+            sums += (losses.reconstruction, losses.codebook, losses.commitment, losses.total)
+        steps = len(batches)
+        entry = {
+            "epoch": epoch,
+            "reconstruction": sums[0] / steps,
+            "codebook": sums[1] / steps,
+            "commitment": sums[2] / steps,
+            "total": sums[3] / steps,
+        }
+        if holdout is not None:
+            entry["holdout_reconstruction"] = reconstruction_loss(model, holdout)
+        history.append(entry)
+    return model, history.entries
 
 
 def extract_codes(

@@ -338,7 +338,7 @@ class TestC06Schedule:
     def test_c06_flat_trace_conformance(self, corpus_arrays):
         x, y = corpus_arrays
         cfg = ClassifierConfig.desk()
-        cfg.lr_init, cfg.lr_floor = 1e-4, 1e-5
+        cfg.lr_init, cfg.lr_floor, cfg.max_epochs = 1e-4, 1e-5, 60
         model = EmotionClassifier(cfg, Rng(60))
         reversions = []
 
@@ -350,7 +350,7 @@ class TestC06Schedule:
 
         result = train(
             model, x[:8], y[:8], None, None, seed=61,
-            val_metric=lambda m, epoch: 0.25, max_epochs=60, epoch_hook=hook,
+            val_metric=lambda m, epoch: 0.25, epoch_hook=hook,
         )
         assert [e["epoch"] for e in result.events] == [6, 12, 18, 24]
         assert [e["event"] for e in result.events] == [DECAY, DECAY, DECAY, STOP]

@@ -552,6 +552,28 @@ class TestAnnotateAndCache:
         with pytest.raises(JsonlError, match=re.escape(f"{path}:2: missing field {field!r}")):
             load(path)
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("utterance_id", 7, "expected a string, got int"),
+        ("label", 7, "expected a string, got int"),
+        ("label", "joy", "expected one of angry, happy, neutral, sad or unparseable, got 'joy'"),
+        ("label", "Angry", "expected one of angry, happy, neutral, sad or unparseable, got 'Angry'"),
+        ("label", None, "expected a string, got NoneType"),
+        ("raw_response", ["angry"], "expected a string, got list"),
+        ("backend_id", 1.5, "expected a string, got float"),
+        ("prompt_hash", {"sha": "x"}, "expected a string, got dict"),
+        ("template_version", True, "expected a string, got bool"),
+    ])
+    def test_annotations_refuse_a_bad_field(self, pool, tmp_path, field, value, expected):
+        results, _ = annotate_corpus(pool[:3], TEXT, mock_backend("keyword"))
+        path = tmp_path / "ann.jsonl"
+        write_annotations(path, results)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        path.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n")
+        with pytest.raises(JsonlError, match=re.escape(f"{path}:2: field {field!r}: {expected}")):
+            load_annotations(path)
+
     def test_corrupt_middle_line_raises(self, pool, tmp_path):
         path = tmp_path / "cache.jsonl"
         with AnnotationCache(path) as cache:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from serann.classifier import (
 )
 from serann.coremath import (
     Adam,
+    NonFiniteLossError,
     Rng,
     ShapeError,
     Tensor,
@@ -32,7 +34,7 @@ from serann.coremath import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from serann.coremath.checkpoint import save_checkpoint
+from serann.coremath.checkpoint import load_into, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -266,10 +268,10 @@ class TestTraining:
                 reversion_ok.append(restored == best)
 
         cfg = model.config
-        cfg.lr_init, cfg.lr_floor = 1e-4, 1e-5
+        cfg.lr_init, cfg.lr_floor, cfg.max_epochs = 1e-4, 1e-5, 60
         result = train(
             model, x[:8], y[:8], None, None, seed=5,
-            val_metric=lambda m, epoch: 0.25, max_epochs=60, epoch_hook=hook,
+            val_metric=lambda m, epoch: 0.25, epoch_hook=hook,
         )
         decay_epochs = [e["epoch"] for e in result.events]
         assert decay_epochs == [6, 12, 18, 24]
@@ -281,10 +283,10 @@ class TestTraining:
 
     def test_improving_trace_never_decays(self, corpus_arrays):
         x, y = corpus_arrays
-        model = EmotionClassifier(ClassifierConfig.desk(), Rng(3))
+        model = EmotionClassifier(replace(ClassifierConfig.desk(), max_epochs=8), Rng(3))
         result = train(
             model, x[:8], y[:8], None, None, seed=5,
-            val_metric=lambda m, epoch: 0.01 * epoch, max_epochs=8,
+            val_metric=lambda m, epoch: 0.01 * epoch,
         )
         assert result.events == []
         assert {h["lr"] for h in result.history} == {model.config.lr_init}
@@ -297,13 +299,26 @@ class TestTraining:
         def hook(epoch, decision, m, state):
             lines_seen.append(len(path.read_text().splitlines()))
 
-        model = EmotionClassifier(ClassifierConfig.desk(), Rng(3))
+        model = EmotionClassifier(replace(ClassifierConfig.desk(), max_epochs=6), Rng(3))
         result = train(
             model, x[:8], y[:8], None, None, seed=5, val_metric=lambda m, epoch: 0.25,
-            max_epochs=6, history_path=path, epoch_hook=hook,
+            history_path=path, epoch_hook=hook,
         )
         assert lines_seen == [1, 2, 3, 4, 5, 6]
         assert path.read_text() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.history)
+
+    def test_non_finite_loss_stops_before_the_step(self, corpus_arrays):
+        x, y = corpus_arrays
+        xs = np.array(x[:16])
+        xs[3, 7, 9] = np.nan
+        model = EmotionClassifier(ClassifierConfig.desk(), Rng(3))
+        before = {name: t.data.tobytes() for name, t in model.params().items()}
+        adam = Adam(model.params(), 1e-3)
+        with pytest.raises(NonFiniteLossError, match=r"^non-finite loss at optimizer step 1$"):
+            train_epoch(model, xs, y[:16], adam, Rng(4))
+        assert {name: t.data.tobytes() for name, t in model.params().items()} == before
+        assert adam.state.t == 0
+        assert all(t.grad is None for t in model.params().values())
 
     def test_snapshot_and_restore_copy_rather_than_alias(self):
         # Adam updates ``data`` in place: neither the snapshot taken nor the
@@ -319,7 +334,7 @@ class TestTraining:
         snapshot = classifier._snapshot(model)
         kept = {name: a.copy() for name, a in snapshot.items()}
         step()
-        classifier._restore(model, snapshot)
+        load_into(model.params(), snapshot)
         step()
         for name, a in snapshot.items():
             assert a.tobytes() == kept[name].tobytes(), name
@@ -343,8 +358,8 @@ class TestTraining:
         x, y = corpus_arrays
 
         def run(tag):
-            model = EmotionClassifier(ClassifierConfig.desk(), Rng(17))
-            result = train(model, x[:16], y[:16], x[16:24], y[16:24], seed=23, max_epochs=3)
+            model = EmotionClassifier(replace(ClassifierConfig.desk(), max_epochs=3), Rng(17))
+            result = train(model, x[:16], y[:16], x[16:24], y[16:24], seed=23)
             path = tmp_path / f"{tag}.serann"
             save_checkpoint(path, result.best_params)
             return result.history, path.read_bytes()

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -529,6 +530,49 @@ class TestMelCacheCheck:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["extra_records_used"], report["extra_records_excluded"]) == (19, 1)
+
+    @pytest.mark.parametrize("label", ["joy", 7])
+    def test_extra_label_outside_the_classes_is_one_error_line(self, pipeline_dir, tmp_path, label):
+        """Extras without gold labels train on their annotated label, so one
+        outside the four classes stops the run at the annotations file."""
+        corpus_mels = dsp.load_mel_cache(pipeline_dir / "mels.serann")
+        extra_mels = tmp_path / "xmels.serann"
+        dsp.save_mel_cache(extra_mels, {"x" + uid: mel for uid, mel in corpus_mels.items()})
+        first = "x" + sorted(corpus_mels)[0]
+
+        def edit(record):
+            if record["utterance_id"] == first:
+                record["label"] = label
+
+        annotations = self.relabeled(pipeline_dir / "annotations.jsonl", tmp_path, "x", edit)
+        result = CliRunner().invoke(main, [
+            "augment-eval", "--base-manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--base-mels", str(pipeline_dir / "mels.serann"),
+            "--extra-manifest", self.relabeled(pipeline_dir / "corpus" / "manifest.jsonl", tmp_path, "x",
+                                               lambda record: record.pop("gold_label")),
+            "--extra-mels", str(extra_mels), "--extra-annotations", annotations,
+            "--desk-scale", "--max-epochs", "1", "--repeats", "1", "--out", str(tmp_path / "r.json"),
+        ])
+        assert_error_line(result, f"{annotations}:1", "field 'label'")  # ids are written sorted
+        assert sum(line.startswith("error: ") for line in result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["train-vqvae", "train-classifier"])
+    def test_nan_mel_stops_training_as_one_error_line(self, pipeline_dir, tmp_path, command):
+        mels = dsp.load_mel_cache(pipeline_dir / "mels.serann")
+        mels[sorted(mels)[0]][7, 9] = np.nan
+        path = tmp_path / "nan.serann"
+        dsp.save_mel_cache(path, mels)
+        args = {
+            "train-vqvae": ["--out", str(tmp_path / "vq.serann"), "--epochs", "1"],
+            "train-classifier": ["--out", str(tmp_path / "r.json"), "--folds", "loso",
+                                 "--max-epochs", "1", "--repeats", "1"],
+        }[command]
+        result = CliRunner().invoke(main, [
+            command, "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(path), "--desk-scale", *args,
+        ])
+        assert_error_line(result, "non-finite loss at optimizer step")
+        assert sum(line.startswith("error: ") for line in result.output.splitlines()) == 1
 
 
 def test_a_bug_keeps_its_traceback(pipeline_dir, tmp_path, monkeypatch):

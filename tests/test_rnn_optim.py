@@ -21,6 +21,7 @@ from serann.coremath import (
     adam_step,
     bilstm,
     finite_diff_grad_check,
+    load_into,
     mul,
     softmax_cross_entropy,
     tensor_sum,
@@ -346,7 +347,7 @@ class TestAdamOracle:
             if step == 3:
                 snapshot, r_snapshot = classifier._snapshot(model), dict(reference)
             if step == 5:
-                classifier._restore(model, snapshot)
+                load_into(model.params(), snapshot)
                 reference = {name: p.copy() for name, p in r_snapshot.items()}
                 adam, r_state = Adam(model.params(), 5e-3), AdamState(5e-3)
             grads = oracle_grads(step, dtype)

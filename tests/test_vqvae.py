@@ -17,6 +17,7 @@ from conftest import (
 from serann import vqvae
 from serann.coremath import (
     Adam,
+    NonFiniteLossError,
     Rng,
     ShapeError,
     Tensor,
@@ -579,6 +580,22 @@ class TestTraining:
         train_step(model, mels[:, None, :, :], adam)
         for name, value in model.params().items():
             np.testing.assert_array_equal(value.data, before[name])
+
+    def test_non_finite_loss_stops_before_the_step(self):
+        mels, _ = two_pattern_mels(2, Rng(5))
+        mels[1, 7, 9] = np.nan
+        model = VqVae(VqVaeConfig.desk(), Rng(6))
+        before = {name: t.data.tobytes() for name, t in model.params().items()}
+        adam = Adam(model.params(), 1e-3)
+        with pytest.raises(NonFiniteLossError, match=r"at optimizer step 1: recon=nan, codebook="):
+            train_step(model, mels[:, None, :, :], adam)
+        assert {name: t.data.tobytes() for name, t in model.params().items()} == before
+        assert adam.state.t == 0
+        assert all(t.grad is None for t in model.params().values())
+
+    def test_non_finite_loss_error_is_the_shared_one(self):
+        assert vqvae.NonFiniteLossError is NonFiniteLossError
+        assert issubclass(NonFiniteLossError, FloatingPointError)
 
     def test_history_is_on_disk_after_every_epoch(self, monkeypatch, tmp_path):
         # The holdout loss runs once per epoch, before that epoch's line.
