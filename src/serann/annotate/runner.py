@@ -18,12 +18,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
 from ..dsp import UtteranceFeatures
-from ..fileio import JsonlError, convert_field, json_string, read_jsonl, require_fields, write_jsonl
+from ..fileio import json_string, read_records, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     TEMPLATE_VERSION,
@@ -58,21 +58,22 @@ class AnnotationResult:
         # runs once per cache append.
         return dict(vars(self))
 
-    @classmethod
-    def from_json(cls, record: dict) -> "AnnotationResult":
-        """The result in ``record``, which may carry fields besides these."""
-        return cls(
-            record["utterance_id"],
-            record["label"],
-            record["raw_response"],
-            record["backend_id"],
-            record["prompt_hash"],
-            record["template_version"],
-        )
+
+def _label(value) -> str:
+    label = json_string(value)
+    if label not in (*LABELS, UNPARSEABLE):
+        raise ValueError(f"expected one of {', '.join(LABELS)} or {UNPARSEABLE}, got {label!r}")
+    return label
 
 
-_RESULT_FIELDS = tuple(field.name for field in fields(AnnotationResult))
-_RESULT_KEYS = frozenset(_RESULT_FIELDS)  # lets the cache loader check a record in one pass
+_RESULT_FIELDS = {field.name: json_string for field in fields(AnnotationResult)}
+_RESULT_FIELDS["label"] = _label
+
+
+def _read_results(path) -> Iterator[AnnotationResult]:
+    """The records of ``path`` as results, checked as ``load_annotations``
+    says; fields besides a result's are ignored."""
+    return (AnnotationResult(*values) for _, values in read_records(path, _RESULT_FIELDS))
 
 
 class AnnotationCache:
@@ -85,39 +86,36 @@ class AnnotationCache:
     A final line cut short by an interrupted append is dropped on load (and
     counted in ``dropped``); the file is truncated back to its last complete
     record so appends start on a fresh line. A malformed line anywhere else,
-    or a record that lacks a field, is an error.
+    or a record the annotations file would refuse, is an error.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], dict] = {}
+        self._entries: dict[tuple[str, str], AnnotationResult] = {}
         self._handle = None
         self.dropped = 0
         if self.path.exists():
             self.dropped = _drop_torn_tail(self.path)
-            for lineno, record in read_jsonl(self.path):
-                if not record.keys() >= _RESULT_KEYS:
-                    require_fields(self.path, lineno, record, *_RESULT_FIELDS)
-                self._entries[record["backend_id"], record["prompt_hash"]] = record
+            self._entries = {(r.backend_id, r.prompt_hash): r for r in _read_results(self.path)}
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, prompt_hash: str, backend_id: str) -> dict | None:
+    def get(self, prompt_hash: str, backend_id: str) -> AnnotationResult | None:
         with self._lock:
             return self._entries.get((backend_id, prompt_hash))
 
-    def put(self, record: dict) -> None:
-        key = (record["backend_id"], record["prompt_hash"])
+    def put(self, result: AnnotationResult) -> None:
+        key = (result.backend_id, result.prompt_hash)
         with self._lock:
             if key in self._entries:
                 return
-            self._entries[key] = record
+            self._entries[key] = result
             if self._handle is None:
                 self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.write(json.dumps(result.to_json(), sort_keys=True) + "\n")
             self._handle.flush()
 
     def close(self) -> None:
@@ -253,7 +251,7 @@ def annotate_corpus(
         for prompt_hash in first:
             hit = cache.get(prompt_hash, backend.backend_id)
             if hit is not None:
-                answers[prompt_hash] = AnnotationResult.from_json(hit)
+                answers[prompt_hash] = hit
     askers = [i for prompt_hash, i in first.items() if prompt_hash not in answers]
 
     def ask(i: int) -> AnnotationResult | str:
@@ -262,7 +260,7 @@ def annotate_corpus(
         except BackendError as exc:
             return str(exc)
         if cache is not None:
-            cache.put(result.to_json())
+            cache.put(result)
         return result
 
     if concurrency <= 1:
@@ -313,16 +311,7 @@ def load_annotations(path) -> dict[str, AnnotationResult]:
     """Annotation results by utterance id; a field that is not a string, or a
     label outside ``LABELS`` and "unparseable", is a JsonlError naming
     ``path:line`` and the field."""
-    results = {}
-    for lineno, record in read_jsonl(path):
-        values = require_fields(path, lineno, record, *_RESULT_FIELDS)
-        result = AnnotationResult(*(convert_field(path, lineno, name, value, json_string)
-                                    for name, value in zip(_RESULT_FIELDS, values)))
-        if result.label not in (*LABELS, UNPARSEABLE):
-            raise JsonlError(f"{path}:{lineno}: field 'label': expected one of "
-                             f"{', '.join(LABELS)} or {UNPARSEABLE}, got {result.label!r}")
-        results[result.utterance_id] = result
-    return results
+    return {result.utterance_id: result for result in _read_results(path)}
 
 
 def apply_annotations(

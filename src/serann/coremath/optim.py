@@ -1,10 +1,11 @@
 """Adam with bias correction, and the parts every training loop shares.
 
 ``Adam`` binds the update to a dict of parameter tensors for training loops
-and updates each ``data`` in place; ``adam_step`` is the functional form over
-plain arrays, which leaves its inputs untouched and returns new arrays. Both
-run one kernel, ``_update``, which writes its results with ``out=``. Moments
-and the step counter live in ``AdamState`` so optimizer state can be
+and updates each ``data`` in place through one kernel, ``_update``, which
+writes its results with ``out=``. ``adam_step`` is the functional form over
+plain arrays: it runs ``Adam.step`` on copies, so it leaves its inputs
+untouched, returns new arrays and times the code path training runs.
+Moments and the step counter live in ``AdamState`` so optimizer state can be
 inspected or rebuilt.
 
 Both trainers share three plain helpers: ``shuffled_batches`` splits an
@@ -15,6 +16,7 @@ entries and streams each one to disk.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,23 +111,17 @@ def adam_step(
     """One bias-corrected update; mutates ``state``, returns new parameters.
 
     ``params`` and the moment arrays already in ``state`` are left as they
-    were: the kernel runs on copies, and ``state`` gets the new moments."""
-    _check_finite(grads, state.t + 1)
-    state.t += 1
-    hyper = _hyper(state)
-    updated: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        p = np.array(p)
-        g = np.asarray(grads.get(name, np.zeros_like(p)), dtype=p.dtype)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        m = np.zeros_like(p) if m is None else m.copy()
-        v = np.zeros_like(p) if v is None else v.copy()
-        _update(p, g, m, v, np.empty_like(p), np.empty_like(p), *hyper)
-        state.m[name] = m
-        state.v[name] = v
-        updated[name] = p
-    return updated
+    were: ``Adam.step`` runs on copies, and ``state`` gets the new moments."""
+    tensors = {name: Tensor(np.array(p)) for name, p in params.items()}
+    for name, t in tensors.items():
+        t.grad = grads.get(name)
+    adam = Adam(tensors, state.learning_rate)
+    adam.state = copy.deepcopy(state)
+    adam.step()
+    state.t = adam.state.t
+    state.m.update(adam.state.m)
+    state.v.update(adam.state.v)
+    return {name: t.data for name, t in tensors.items()}
 
 
 class Adam:

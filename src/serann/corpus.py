@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .coremath.rng import Rng
-from .fileio import JsonlError, read_jsonl, write_jsonl
+from .fileio import JsonlError, json_string, read_records, write_jsonl
 
 LABELS = ("angry", "happy", "neutral", "sad")
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
@@ -79,25 +79,28 @@ class UtteranceRecord:
         return {k: v for k, v in out.items() if v is not None}
 
 
+def _label_or_null(value) -> str | None:
+    return value if value is None else json_string(value)
+
+
+# Every manifest field is a JSON string; the two labels may be absent or null.
+_MANIFEST_FIELDS = {f.name: json_string for f in fields(UtteranceRecord)}
+_MANIFEST_FIELDS.update(gold_label=_label_or_null, llm_label=_label_or_null)
+_MANIFEST_DEFAULTS = {"gold_label": None, "llm_label": None}
+
+
 def load_manifest(path, canonical_labels: bool = True) -> list[UtteranceRecord]:
     """Parse a JSONL manifest; duplicate ids and malformed lines are errors."""
     path = Path(path)
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
-    known = {f.name for f in fields(UtteranceRecord)}
-    required = {"utterance_id", "audio_path", "transcript", "speaker_id", "gender", "corpus"}
     try:
-        for lineno, raw in read_jsonl(path):
-            missing = required - raw.keys()
-            if missing:
-                raise ManifestError(
-                    f"{path}:{lineno}: missing required fields {sorted(missing)}"
-                )
-            unknown = raw.keys() - known
-            if unknown:
-                raise ManifestError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            record = UtteranceRecord(**raw)
-            record.validate(canonical_labels=canonical_labels)
+        for lineno, values in read_records(path, _MANIFEST_FIELDS, _MANIFEST_DEFAULTS, closed=True):
+            record = UtteranceRecord(*values)
+            try:
+                record.validate(canonical_labels=canonical_labels)
+            except ManifestError as exc:
+                raise ManifestError(f"{path}:{lineno}: {exc}") from None
             if record.utterance_id in seen:
                 raise ManifestError(
                     f"{path}:{lineno}: duplicate utterance_id {record.utterance_id!r}"

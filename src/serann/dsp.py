@@ -31,9 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import (
-    convert_field, json_finite_number, json_string, read_jsonl, require_fields, write_jsonl,
-)
+from .fileio import json_finite_number, json_string, read_records, write_jsonl
 
 SAMPLE_RATE = 16_000
 N_FFT = 1024
@@ -274,20 +272,16 @@ def write_features(path, features_by_id: dict) -> None:
     )
 
 
+_FEATURE_FIELDS = {"utterance_id": json_string, "avg_energy": json_finite_number,
+                   "avg_pitch_hz": json_finite_number, "gender": json_string}
+
+
 def load_features(path) -> dict:
     """Features by utterance id; a record whose id or gender is not a string,
     or whose energy or pitch is not a finite JSON number, is a JsonlError
-    naming ``path:line`` and the field."""
-    features = {}
-    for lineno, record in read_jsonl(path):
-        uid, energy, pitch = require_fields(
-            path, lineno, record, "utterance_id", "avg_energy", "avg_pitch_hz"
-        )
-        uid = convert_field(path, lineno, "utterance_id", uid, json_string)
-        gender = record.get("gender", "unknown")
-        features[uid] = UtteranceFeatures(
-            avg_energy=convert_field(path, lineno, "avg_energy", energy, json_finite_number),
-            avg_pitch_hz=convert_field(path, lineno, "avg_pitch_hz", pitch, json_finite_number),
-            gender=convert_field(path, lineno, "gender", gender, json_string),
-        )
-    return features
+    naming ``path:line`` and the field. A missing gender is "unknown"."""
+    return {
+        uid: UtteranceFeatures(energy, pitch, gender)
+        for _, (uid, energy, pitch, gender)
+        in read_records(path, _FEATURE_FIELDS, {"gender": "unknown"})
+    }

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class JsonlError(ValueError):
@@ -44,14 +44,15 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for every non-blank line; a line that
-    is not a JSON object is a JsonlError naming ``path:line``."""
-    with Path(path).open("r", encoding="utf-8") as handle:
+    is not a UTF-8 JSON object is a JsonlError naming ``path:line``."""
+    with Path(path).open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise JsonlError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             except json.JSONDecodeError as exc:
                 raise JsonlError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
@@ -59,6 +60,40 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
                     f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
                 )
             yield lineno, record
+
+
+def read_records(
+    path, fields: Mapping[str, Callable], defaults: Mapping | None = None, closed: bool = False
+) -> Iterator[tuple[int, list]]:
+    """Yield ``(line number, [convert(record[name]) for name, convert in
+    fields.items()])`` for each record of the JSONL file ``path``. A field
+    named in ``defaults`` may be absent and converts from its default; other
+    fields are ignored, unless ``closed``. A missing field is a JsonlError
+    ``path:line: missing field 'x'``, a value its converter refuses with a
+    TypeError or ValueError is ``path:line: field 'x': <reason>``, and with
+    ``closed`` an unknown field is one too."""
+    converters = tuple(fields.items())
+    for lineno, record in read_jsonl(path):
+        if defaults:
+            record = {**defaults, **record}
+        try:
+            values = [convert(record[name]) for name, convert in converters]
+        except (KeyError, TypeError, ValueError):
+            # Only a bad record pays for finding and naming its field.
+            values = [_convert(path, lineno, record, name, convert) for name, convert in converters]
+        if closed and len(record) > len(converters):
+            unknown = sorted(record.keys() - fields.keys())
+            raise JsonlError(f"{path}:{lineno}: unknown fields {unknown}")
+        yield lineno, values
+
+
+def _convert(path, lineno: int, record: dict, name: str, convert: Callable):
+    if name not in record:
+        raise JsonlError(f"{path}:{lineno}: missing field {name!r}")
+    try:
+        return convert(record[name])
+    except (TypeError, ValueError) as exc:
+        raise JsonlError(f"{path}:{lineno}: field {name!r}: {exc}") from exc
 
 
 def read_json(path) -> dict:
@@ -70,23 +105,6 @@ def read_json(path) -> dict:
     if not isinstance(document, dict):
         raise JsonlError(f"{path}: expected a JSON object, got {type(document).__name__}")
     return document
-
-
-def require_fields(path, lineno: int, record: dict, *names: str) -> list:
-    """The values of ``names`` in a record read from line ``lineno`` of
-    ``path``; a missing one is a JsonlError naming the line and the field."""
-    for name in names:
-        if name not in record:
-            raise JsonlError(f"{path}:{lineno}: missing field {name!r}")
-    return [record[name] for name in names]
-
-
-def convert_field(path, lineno: int, name: str, value, convert):
-    """``convert(value)``, or a JsonlError naming ``path:lineno`` and ``name``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise JsonlError(f"{path}:{lineno}: field {name!r}: {exc}") from exc
 
 
 def json_string(value) -> str:

@@ -32,7 +32,7 @@ from .coremath.optim import Adam, History, NonFiniteLossError, minibatch_step, s
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 from .dsp import N_FRAMES, N_MELS
-from .fileio import convert_field, json_string, read_jsonl, require_fields, write_jsonl
+from .fileio import json_string, read_records, write_jsonl
 
 GRID_POSITIONS = 64
 
@@ -520,9 +520,5 @@ def _code_row(values) -> list[int]:
 
 
 def load_codes(path) -> dict[str, list[int]]:
-    codes = {}
-    for lineno, record in read_jsonl(path):
-        uid, row = require_fields(path, lineno, record, "utterance_id", "codes")
-        uid = convert_field(path, lineno, "utterance_id", uid, json_string)
-        codes[uid] = convert_field(path, lineno, "codes", row, _code_row)
-    return codes
+    fields = {"utterance_id": json_string, "codes": _code_row}
+    return {uid: row for _, (uid, row) in read_records(path, fields)}

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WAV_DAMAGE
-from serann import dsp, experiments
+from serann import annotate, corpus, dsp, experiments, vqvae
 from serann.cli import main
 
 
@@ -250,9 +252,72 @@ def assert_error_line(result, *fragments):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
-    line = next(line for line in result.output.splitlines() if line.startswith("error: "))
+    [line] = [line for line in result.output.splitlines() if line.startswith("error: ")]
     for fragment in fragments:
         assert fragment in line
+
+
+def edited_first_record(name, **fields):
+    """The text of the fixture's JSONL file ``name`` with ``fields`` set in
+    its first record."""
+    def text(root):
+        first, *rest = (root / name).read_text().splitlines(keepends=True)
+        return json.dumps({**json.loads(first), **fields}) + "\n" + "".join(rest)
+    return text
+
+
+_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def damaged_jsonl(raw: bytes, damage: str, rng: random.Random) -> bytes:
+    """``raw`` cut at a seeded byte, with one byte flipped, or with one
+    record edited: a field dropped, retyped or added, or the record wrapped
+    in a list."""
+    if damage == "truncate":
+        return raw[: rng.randrange(len(raw))]
+    if damage == "flip":
+        out = bytearray(raw)
+        out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+        return bytes(out)
+    lines = raw.decode().splitlines()
+    i = rng.randrange(len(lines))
+    record = json.loads(lines[i])
+    key = rng.choice(sorted(record))
+    if damage == "drop":
+        del record[key]
+    elif damage == "retype":
+        kind = _JSON_KINDS[type(record[key])]
+        record[key] = rng.choice([v for v in (None, True, 7, "x", [1], {"a": 1})
+                                  if _JSON_KINDS[type(v)] != kind])
+    elif damage == "add":
+        record[f"extra_{rng.randrange(100)}"] = rng.choice([None, 1, "x"])
+    else:
+        record = [record]
+    lines[i] = json.dumps(record)
+    return ("\n".join(lines) + "\n").encode()
+
+
+# The quick start's JSONL files, each with its reader and a command that
+# reads it; DAMAGED is the damaged copy and OUT an empty directory.
+JSONL_READERS = {
+    "corpus/manifest.jsonl": (corpus.load_manifest, [
+        "annotate", "--manifest", "DAMAGED", "--out", "OUT/a.jsonl"]),
+    "features.jsonl": (dsp.load_features, [
+        "annotate", "--manifest", "MANIFEST", "--variant", "full",
+        "--features", "DAMAGED", "--codes", "CODES", "--out", "OUT/a.jsonl"]),
+    "codes.jsonl": (vqvae.load_codes, [
+        "annotate", "--manifest", "MANIFEST", "--variant", "full",
+        "--features", "FEATURES", "--codes", "DAMAGED", "--out", "OUT/a.jsonl"]),
+    "annotations.jsonl.cache.jsonl": (annotate.AnnotationCache, [
+        "annotate", "--manifest", "MANIFEST", "--variant", "full", "--shots", "few",
+        "--backend", "mock:oracle", "--features", "FEATURES", "--codes", "CODES",
+        "--seed", "5", "--cache", "DAMAGED", "--out", "OUT/a.jsonl"]),
+    "annotations.jsonl": (annotate.load_annotations, [
+        "train-classifier", "--manifest", "MANIFEST", "--mels", "MELS", "--labels-source", "llm",
+        "--annotations", "DAMAGED", "--folds", "fixed", "--repeats", "1", "--desk-scale",
+        "--max-epochs", "1", "--out", "OUT/r.json"]),
+}
 
 
 class TestMalformedInputs:
@@ -308,6 +373,37 @@ class TestMalformedInputs:
         if result.exit_code != 0:
             assert_error_line(result, str(damaged))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(JSONL_READERS)),
+           st.sampled_from(["truncate", "flip", "drop", "retype", "add", "wrap"]),
+           st.integers(0, 2**32 - 1))
+    def test_damaged_jsonl_fails_as_one_line(self, pipeline_dir, tmp_path_factory,
+                                             target, damage, seed):
+        """The command that reads a JSONL file with seeded damage succeeds or
+        fails in one error line, which names the file if its reader refuses
+        it. Damage the reader accepts, such as a cut at a line end, leaves a
+        well-formed file that a later stage may still refuse (a class with no
+        test records, say)."""
+        work = tmp_path_factory.mktemp("damaged")
+        damaged = work / Path(target).name
+        damaged.write_bytes(damaged_jsonl((pipeline_dir / target).read_bytes(), damage,
+                                          random.Random(seed)))
+        (work / "out").mkdir()
+        paths = {"MANIFEST": pipeline_dir / "corpus" / "manifest.jsonl",
+                 "FEATURES": pipeline_dir / "features.jsonl", "CODES": pipeline_dir / "codes.jsonl",
+                 "MELS": pipeline_dir / "mels.serann", "DAMAGED": damaged, "OUT": work / "out"}
+        reader, command = JSONL_READERS[target]
+        result = CliRunner().invoke(main, [
+            str(paths[arg]) if arg in paths else arg.replace("OUT", str(paths["OUT"]))
+            for arg in command])
+        try:
+            reader(damaged)  # after the run: the cache reader cuts a torn last line
+            refused = ""
+        except ValueError:
+            refused = str(damaged)
+        if result.exit_code != 0 or refused:
+            assert_error_line(result, refused)
+
     def test_manifest_line_missing_fields(self, pipeline_dir, tmp_path):
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text('{"utterance_id": "u1", "audio_path": "a.wav"}\n')
@@ -315,7 +411,7 @@ class TestMalformedInputs:
             "features", "--manifest", str(manifest),
             "--out", str(tmp_path / "f.jsonl"), "--mels-out", str(tmp_path / "m.serann"),
         ])
-        assert_error_line(result, f"{manifest}:1", "missing required fields")
+        assert_error_line(result, f"{manifest}:1", "missing field 'transcript'")
 
     @pytest.mark.parametrize("option, source, line, expected", [
         ("--features", "features.jsonl", "not json", "invalid JSON"),
@@ -358,6 +454,25 @@ class TestMalformedInputs:
                 for line in (root / "annotations.jsonl.cache.jsonl").read_text().splitlines()
             ),
             "BAD:1: missing field 'backend_id'", id="cache-missing-field"),
+        pytest.param(
+            ["annotate", "--manifest", "MANIFEST", "--backend", "mock:keyword",
+             "--cache", "BAD", "--out", "OUT/a.jsonl"],
+            edited_first_record("annotations.jsonl.cache.jsonl", label="joy"),
+            "BAD:1: field 'label': expected one of", id="cache-label-outside-the-classes"),
+        pytest.param(
+            ["train-classifier", "--manifest", "BAD", "--mels", "MELS", "--desk-scale",
+             "--max-epochs", "1", "--repeats", "1", "--out", "OUT/r.json"],
+            edited_first_record("corpus/manifest.jsonl", speaker_id=5),
+            "BAD:1: field 'speaker_id': expected a string, got int", id="manifest-speaker-not-a-string"),
+        pytest.param(
+            ["annotate", "--manifest", "BAD", "--out", "OUT/a.jsonl"],
+            edited_first_record("corpus/manifest.jsonl", transcript=["a"]),
+            "BAD:1: field 'transcript': expected a string, got list",
+            id="manifest-transcript-not-a-string"),
+        pytest.param(
+            ["annotate", "--manifest", "BAD", "--out", "OUT/a.jsonl"],
+            edited_first_record("corpus/manifest.jsonl", gender="robot"),
+            "BAD:1: spk00_utt000: gender 'robot' not in", id="manifest-gender-outside-the-choices"),
         pytest.param(
             ["train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
              "--config", "BAD", "--out", "OUT/vq.serann"],

@@ -87,7 +87,13 @@ class TestManifests:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"utterance_id": "x"}) + "\n")
-        with pytest.raises(ManifestError, match="missing required"):
+        with pytest.raises(ManifestError, match="missing field 'audio_path'"):
+            load_manifest(path)
+
+    def test_unknown_field_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**make_record("x").to_json(), "mood": "sad"}) + "\n")
+        with pytest.raises(ManifestError, match=r":1: unknown fields \['mood'\]"):
             load_manifest(path)
 
     def test_non_canonical_label_rejected_by_default(self, tmp_path):

@@ -6,7 +6,9 @@ import pytest
 
 from serann import fileio, reports
 from serann.coremath import CheckpointError, save_checkpoint
-from serann.fileio import JsonlError, read_json, read_jsonl, write_jsonl
+from serann.fileio import (
+    JsonlError, json_finite_number, json_string, read_json, read_jsonl, read_records, write_jsonl,
+)
 
 SUMMARY = {
     "schema_version": 1, "kind": "annotation_summary", "total": 1,
@@ -35,6 +37,35 @@ def test_line_that_is_not_an_object_names_path_and_line(tmp_path, line, kind):
     path.write_text('{"a": 1}\n' + line + "\n")
     with pytest.raises(JsonlError, match=re.escape(f"{path}:2: expected a JSON object, got {kind}")):
         list(read_jsonl(path))
+
+
+def test_line_that_is_not_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+    with pytest.raises(JsonlError, match=re.escape(f"{path}:2: not UTF-8 text")):
+        list(read_jsonl(path))
+
+
+RECORD_FIELDS = {"id": json_string, "x": json_finite_number}
+
+
+def test_records_convert_fields_in_order_with_defaults(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"x": 1, "id": "a", "other": null}\n\n{"id": "b"}\n')
+    assert list(read_records(path, RECORD_FIELDS, {"x": 2})) == [(1, ["a", 1.0]), (3, ["b", 2.0])]
+
+
+@pytest.mark.parametrize("line, closed, message", [
+    ('{"x": 1}', False, "missing field 'id'"),
+    ('{"id": 7}', False, "field 'id': expected a string, got int"),
+    ('{"id": "a", "x": "1"}', False, "field 'x': expected a number, got str"),
+    ('{"id": "a", "x": 1, "z": 0, "y": 0}', True, "unknown fields ['y', 'z']"),
+])
+def test_bad_record_names_path_line_and_field(tmp_path, line, closed, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"id": "a", "x": 1}\n' + line + "\n")
+    with pytest.raises(JsonlError, match=re.escape(f"{path}:2: {message}")):
+        list(read_records(path, RECORD_FIELDS, closed=closed))
 
 
 @pytest.mark.parametrize(
