@@ -41,7 +41,12 @@ class AnnotationRunError(RuntimeError):
 
 
 class MissingContextFileError(ValueError):
-    pass
+    """A context mapping lacks a record; ``context`` names which one,
+    ``"features"`` or ``"codes"``."""
+
+    def __init__(self, message: str, context: str):
+        super().__init__(message)
+        self.context = context
 
 
 @dataclass
@@ -214,14 +219,14 @@ def annotate_corpus(
         raise ValueError(f"failure_budget must be >= 0, got {failure_budget}")
     features_by_id = dict(features_by_id or {})
     codes_by_id = dict(codes_by_id or {})
-    for needed, available, what in (
+    for needed, available, context in (
         (variant.needs_features, features_by_id, "features"),
-        (variant.needs_codes, codes_by_id, "audio codes"),
+        (variant.needs_codes, codes_by_id, "codes"),
     ):
         missing = [r.utterance_id for r in records if r.utterance_id not in available]
         if needed and missing:
             raise MissingContextFileError(
-                f"{what} missing for {len(missing)} records (first: {missing[0]!r})"
+                f"{context} missing for {len(missing)} records (first: {missing[0]!r})", context
             )
 
     few_shot = ""

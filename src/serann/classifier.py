@@ -32,6 +32,7 @@ from .coremath.ops import conv_output_size, softmax_cross_entropy
 from .coremath.optim import Adam, History, minibatch_step, shuffled_batches
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
+from .fileio import check_config_fields
 
 
 class DegenerateDataError(ValueError):
@@ -58,6 +59,7 @@ class ClassifierConfig:
     input_frames: int = 256
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.conv1_kernel <= self.conv2_kernel:
             raise ValueError(
                 f"first kernel ({self.conv1_kernel}) must be larger than the second "
@@ -65,8 +67,6 @@ class ClassifierConfig:
             )
         if self.classes != len(LABELS):
             raise ValueError(f"classes must be {len(LABELS)}")
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs and batch_size must be at least 1")
 
     @classmethod
     def desk(cls) -> "ClassifierConfig":

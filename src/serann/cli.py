@@ -44,7 +44,8 @@ def _model_config(config_type, section: str, desk_scale: bool, config_path, **ov
     try:
         return config_type.from_json(merged)
     except (TypeError, ValueError) as exc:
-        _fail(f"invalid {section} config: {exc}")
+        source = f" in {config_path}" if config_path else ""
+        _fail(f"invalid {section} config{source}: {exc}")
 
 
 def _load_mels_for(records, *mels_paths) -> dict:
@@ -238,20 +239,24 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
     if cache.dropped:
         click.echo(f"dropped {cache.dropped} torn record at the end of {cache.path}", err=True)
     with cache:
-        results, summary = ann.annotate_corpus(
-            records,
-            ctx_variant,
-            backend,
-            shots=shots,
-            seed=seed,
-            features_by_id=features_by_id,
-            codes_by_id=codes_by_id,
-            few_shot_pool=pool,
-            cache=cache,
-            balanced_few_shot=balanced_few_shot,
-            failure_budget=failure_budget,
-            concurrency=concurrency,
-        )
+        try:
+            results, summary = ann.annotate_corpus(
+                records,
+                ctx_variant,
+                backend,
+                shots=shots,
+                seed=seed,
+                features_by_id=features_by_id,
+                codes_by_id=codes_by_id,
+                few_shot_pool=pool,
+                cache=cache,
+                balanced_few_shot=balanced_few_shot,
+                failure_budget=failure_budget,
+                concurrency=concurrency,
+            )
+        except ann.MissingContextFileError as exc:
+            path = features_path if exc.context == "features" else codes_path
+            _fail(f"{path} (--{exc.context}): {exc}")
     ann.write_annotations(annotations_out, results)
     summary_doc = {"schema_version": reports.SCHEMA_VERSION, "kind": "annotation_summary",
                    **summary.to_json()}
@@ -360,7 +365,10 @@ def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra
 def cmd_report(report_path, do_validate):
     """Summarize (and optionally schema-validate) a report document."""
     doc = reports.read_report(report_path)
-    reports.validate_report(doc)
+    try:
+        reports.validate_report(doc)
+    except reports.ReportValidationError as exc:
+        _fail(f"{report_path}: {exc}")
     if do_validate:
         click.echo("valid")
         return

@@ -24,8 +24,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    mul,
-    neg,
     no_grad,
     reshape,
     tensor_sum,
@@ -60,8 +58,6 @@ __all__ = [
     "load_checkpoint",
     "load_into",
     "mse",
-    "mul",
-    "neg",
     "no_grad",
     "reshape",
     "save_checkpoint",

@@ -6,10 +6,11 @@ walks the recorded tape once, in reverse topological order. Gradients are
 accumulated on every node that requires them, intermediates included, so
 training code and tests can inspect any point of the graph.
 
-The primitives here are the few that glue layers together: elementwise
-add, mul and neg (broadcasting), the sum of every element, reshape and
-transpose. Every layer is one tape node with a hand-written adjoint of its
-own (``ops``, ``rnn`` and the classifier's attention pooling).
+The primitives here are the few that glue layers together: ``add`` of two
+tensors of one shape (the VQ-VAE's loss terms), reshape and transpose, plus
+the sum of every element, which the benchmark's op timings differentiate.
+Every layer is one tape node with a hand-written adjoint of its own
+(``ops``, ``rnn`` and the classifier's attention pooling).
 
 Graphs are built per step and discarded after ``backward``; parameters are
 long-lived leaves whose ``data`` the optimizer updates in place between
@@ -98,28 +99,8 @@ class Tensor:
             if node._backprop is not None and node.grad is not None:
                 node._backprop(node.grad)
 
-    # -- operator sugar ------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self.dtype), neg(self))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -141,12 +122,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
-
-
-def _lift(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 class _GradMode(threading.local):
@@ -173,56 +148,19 @@ def _needs_grad(*tensors: Tensor) -> bool:
     return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# -- elementwise -------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a = _lift(a, getattr(b, "dtype", None))
-    b = _lift(b, a.dtype)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor) and a.shape == b.shape):
+        raise ShapeError(f"add needs two tensors of one shape, got {a!r} and {b!r}")
     out_data = a.data + b.data
     if not _needs_grad(a, b):
         return Tensor(out_data)
 
     def backprop(g):
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-        b.accumulate_grad(_unbroadcast(g, b.shape))
+        a.accumulate_grad(g)
+        b.accumulate_grad(g)
 
     return Tensor(out_data, True, (a, b), backprop)
-
-
-def mul(a, b) -> Tensor:
-    a = _lift(a, getattr(b, "dtype", None))
-    b = _lift(b, a.dtype)
-    out_data = a.data * b.data
-    if not _needs_grad(a, b):
-        return Tensor(out_data)
-
-    def backprop(g):
-        a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out_data, True, (a, b), backprop)
-
-
-def neg(a: Tensor) -> Tensor:
-    if not _needs_grad(a):
-        return Tensor(-a.data)
-
-    def backprop(g):
-        a.accumulate_grad(-g)
-
-    return Tensor(-a.data, True, (a,), backprop)
 
 
 # -- reductions --------------------------------------------------------

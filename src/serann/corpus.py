@@ -402,7 +402,8 @@ def augment_merge(
     """Union of a gold-labeled base set with machine-labeled extras.
 
     Extras must carry a usable llm_label; unparseable ones are excluded and
-    counted. Id collisions are rejected.
+    counted. Id collisions are rejected. Extras enter ``records`` without
+    their gold label, so training on them uses the machine label.
     """
     provenance: dict[str, str] = {}
     records: list[UtteranceRecord] = []
@@ -421,7 +422,7 @@ def augment_merge(
             excluded += 1
             continue
         provenance[record.utterance_id] = "llm"
-        records.append(record)
+        records.append(replace(record, gold_label=None))
     return MergedManifest(records=records, provenance=provenance, excluded_unparseable=excluded)
 
 

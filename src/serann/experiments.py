@@ -22,6 +22,7 @@ from .corpus import (
     ConfusionMatrix,
     Fold,
     FoldPlan,
+    MetricError,
     RunReport,
     SplitError,
     UtteranceRecord,
@@ -112,7 +113,12 @@ def run_fold(
         model.save(base / f"{tag}.serann")
     pred, _ = predict(model, test_set.x)
     confusion = ConfusionMatrix.from_pairs(test_set.y, pred, len(LABELS))
-    return uar(confusion)
+    try:
+        return uar(confusion)
+    except MetricError as exc:
+        raise MetricError(
+            f"fold {fold.name!r}, seed {seed}: test split of {len(test_set.y)} records: {exc}"
+        ) from exc
 
 
 def run_plan(
@@ -179,11 +185,10 @@ def run_cross_corpus(
     labels_source: str,
     config: ClassifierConfig,
     seeds: Sequence[int],
-    val_fraction: float = 0.30,
     artifacts_dir=None,
 ) -> dict:
     return run_plan(
-        lambda seed: cross_corpus_split(train_records, eval_records, val_fraction, seed=seed),
+        lambda seed: cross_corpus_split(train_records, eval_records, seed=seed),
         [*train_records, *eval_records], mels_by_id, labels_source, config, seeds, artifacts_dir,
     )
 
@@ -194,12 +199,10 @@ def run_fixed(
     labels_source: str,
     config: ClassifierConfig,
     seeds: Sequence[int],
-    val_fraction: float = 0.2,
-    test_fraction: float = 0.2,
     artifacts_dir=None,
 ) -> dict:
     return run_plan(
-        lambda seed: fixed_split(records, val_fraction, test_fraction, seed=seed),
+        lambda seed: fixed_split(records, seed=seed),
         records, mels_by_id, labels_source, config, seeds, artifacts_dir,
     )
 
@@ -210,8 +213,6 @@ def run_augment_eval(
     mels_by_id: Mapping[str, np.ndarray],
     config: ClassifierConfig,
     seeds: Sequence[int],
-    val_fraction: float = 0.2,
-    test_fraction: float = 0.2,
 ) -> dict:
     """Paired comparison: the same seeded base split trained twice per seed,
     once as-is (gold labels) and once with machine-labeled extras added to
@@ -222,7 +223,7 @@ def run_augment_eval(
     extra_ids = tuple(uid for uid, src in merged.provenance.items() if src == "llm")
 
     def plan_for(seed: int, augmented: bool) -> FoldPlan:
-        fold = fixed_split(base_records, val_fraction, test_fraction, seed=seed).folds[0]
+        fold = fixed_split(base_records, seed=seed).folds[0]
         if augmented:
             fold = replace(fold, name="augmented", train_ids=fold.train_ids + extra_ids)
         return FoldPlan(kind="augment_eval", folds=(fold,))

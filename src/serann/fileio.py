@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -126,3 +127,32 @@ def json_finite_number(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {number}")
     return number
+
+
+def json_count(value) -> int:
+    """``value`` itself if it is a JSON integer of at least 1; booleans and
+    floats are refused, not converted."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"expected at least 1, got {value}")
+    return value
+
+
+def check_config_fields(config) -> None:
+    """Refuse a dataclass config unless every ``int`` field, and every entry
+    of a ``tuple[int, ...]`` field, passes ``json_count`` and every ``float``
+    field passes ``json_finite_number``; the ValueError names the field. The
+    field types are read from the annotations as written."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        try:
+            if f.type == "int":
+                json_count(value)
+            elif f.type == "float":
+                json_finite_number(value)
+            elif f.type == "tuple[int, ...]":
+                for entry in value:
+                    json_count(entry)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {f.name!r}: {exc}") from exc

@@ -107,7 +107,7 @@ class ReportValidationError(ValueError):
 
 def validate_report(document: dict) -> None:
     kind = document.get("kind")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ReportValidationError(f"unknown report kind {kind!r}")
     try:
         jsonschema.validate(document, SCHEMAS[kind])

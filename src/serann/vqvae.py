@@ -32,7 +32,7 @@ from .coremath.optim import Adam, History, NonFiniteLossError, minibatch_step, s
 from .coremath.rng import Rng
 from .coremath.tensor import ShapeError, Tensor, _needs_grad, no_grad, reshape, transpose
 from .dsp import N_FRAMES, N_MELS
-from .fileio import json_string, read_records, write_jsonl
+from .fileio import check_config_fields, json_string, read_records, write_jsonl
 
 GRID_POSITIONS = 64
 
@@ -63,12 +63,9 @@ class VqVaeConfig:
     beta: float = 0.25
 
     def __post_init__(self):
-        if self.codebook_size <= 0 or self.code_dim <= 0:
-            raise ValueError("codebook_size and code_dim must be positive")
+        check_config_fields(self)
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
         if len(self.channels) != len(_LAYER_PLAN):
             raise ValueError(f"channels must list {len(_LAYER_PLAN)} widths")
         if self.channels[-1] != self.code_dim:

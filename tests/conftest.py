@@ -16,7 +16,7 @@ from serann.corpus import (
     resolve_audio_path,
 )
 from serann.coremath.rng import Rng
-from serann.coremath.tensor import Tensor, _needs_grad, mul, reshape
+from serann.coremath.tensor import Tensor, _needs_grad, reshape
 from serann.experiments import run_fold
 from serann.reports import SCHEMA_VERSION
 from serann.vqvae import _DISTANCE_BLOCK, CodebookError
@@ -138,6 +138,64 @@ def _reference_scatter(cols, buf, kh, kw, sh, sw, oh, ow):
 # are the oracle the fused ops must match bit for bit.
 
 
+def _lift(value, dtype):
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=dtype))
+
+
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to ``shape``."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def reference_add(a, b):
+    """Elementwise sum with numpy broadcasting; a plain number is lifted to
+    a constant of the other operand's dtype."""
+    a = _lift(a, getattr(b, "dtype", None))
+    b = _lift(b, a.dtype)
+    out_data = a.data + b.data
+    if not _needs_grad(a, b):
+        return Tensor(out_data)
+
+    def backprop(g):
+        a.accumulate_grad(_unbroadcast(g, a.shape))
+        b.accumulate_grad(_unbroadcast(g, b.shape))
+
+    return Tensor(out_data, True, (a, b), backprop)
+
+
+def reference_mul(a, b):
+    """Elementwise product, broadcasting and lifting as ``reference_add``."""
+    a = _lift(a, getattr(b, "dtype", None))
+    b = _lift(b, a.dtype)
+    out_data = a.data * b.data
+    if not _needs_grad(a, b):
+        return Tensor(out_data)
+
+    def backprop(g):
+        a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+        b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+
+    return Tensor(out_data, True, (a, b), backprop)
+
+
+def reference_neg(a):
+    if not _needs_grad(a):
+        return Tensor(-a.data)
+
+    def backprop(g):
+        a.accumulate_grad(-g)
+
+    return Tensor(-a.data, True, (a,), backprop)
+
+
 def reference_relu(a):
     # Derivative at exactly 0 is 0.
     out_data = np.maximum(a.data, 0)
@@ -213,7 +271,7 @@ def reference_tensor_mean(a, axis=None, keepdims=False):
 
 def reference_dense(x, weights, bias, activation=None):
     """``ops.dense`` as a matmul, a broadcast add and a ReLU node."""
-    out = reference_matmul(x, weights) + bias
+    out = reference_add(reference_matmul(x, weights), bias)
     return reference_relu(out) if activation == "relu" else out
 
 
@@ -223,18 +281,18 @@ def reference_attention_pool(h, w):
     n, t, d = h.shape
     scores = reshape(reference_matmul(reshape(h, (n * t, d)), reshape(w, (d, 1))), (n, t))
     alpha = reference_softmax(scores, axis=1)
-    return reference_tensor_sum(mul(reshape(alpha, (n, t, 1)), h), axis=1)
+    return reference_tensor_sum(reference_mul(reshape(alpha, (n, t, 1)), h), axis=1)
 
 
 def reference_mse(a, b):
     """``ops.mse`` as a difference, a product and a mean node."""
-    diff = a - b
-    return reference_tensor_mean(diff * diff)
+    diff = reference_add(a, reference_neg(b))
+    return reference_tensor_mean(reference_mul(diff, diff))
 
 
 def _reference_epilogue(out, bias, activation):
     if bias is not None:
-        out = out + reshape(bias, (1, bias.shape[0], 1, 1))
+        out = reference_add(out, reshape(bias, (1, bias.shape[0], 1, 1)))
     return reference_relu(out) if activation == "relu" else out
 
 
@@ -331,7 +389,7 @@ def reference_vq_losses(model, x):
     recon = reference_mse(x, model.decode(z_q))
     codebook_term = reference_mse(_stop_gradient(flat), e_selected)
     beta = Tensor(np.asarray(model.config.beta, dtype=z_e.dtype))
-    commitment_term = mul(beta, reference_mse(flat, _stop_gradient(e_selected)))
+    commitment_term = reference_mul(beta, reference_mse(flat, _stop_gradient(e_selected)))
     return z_e, z_q, codes, recon, codebook_term, commitment_term
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import test_dsp as dsp_oracles
+from conftest import reference_add, reference_mul, reference_neg
 from serann import dsp
 from serann.annotate import (
     AnnotationCache,
@@ -44,7 +45,6 @@ from serann.coremath import (
     dense,
     finite_diff_grad_check,
     mse,
-    mul,
     softmax_cross_entropy,
     tensor_sum,
 )
@@ -81,7 +81,7 @@ def leaf(shape, rng, scale=1.0):
 
 def weighted_sum(t):
     w = Tensor(np.linspace(0.5, 1.5, t.size).reshape(t.shape))
-    return tensor_sum(mul(t, w))
+    return tensor_sum(reference_mul(t, w))
 
 
 # -- criterion 1: gradient suite ----------------------------------------
@@ -159,8 +159,8 @@ class TestC01GradientSuite:
 
         def autoencoder_loss():
             x_hat = vq_model.decode(vq_model.encode(mel_in))
-            diff = mel_in - x_hat
-            return tensor_sum(mul(diff, diff))
+            diff = reference_add(mel_in, reference_neg(x_hat))
+            return tensor_sum(reference_mul(diff, diff))
 
         worst["vqvae_autoencoder"] = finite_diff_grad_check(
             autoencoder_loss, layer_params,

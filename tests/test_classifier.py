@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reference_attention_pool, reference_dense, tape_nodes
+from conftest import reference_attention_pool, reference_dense, reference_mul, tape_nodes
 from serann import classifier
 from serann.classifier import (
     DECAY,
@@ -30,7 +30,6 @@ from serann.coremath import (
     Tensor,
     finite_diff_grad_check,
     layers,
-    mul,
     softmax_cross_entropy,
     tensor_sum,
 )
@@ -201,7 +200,7 @@ class TestAttention:
                 h, w = (Tensor(a.astype(dtype), requires_grad=True) for a in draws)
                 h.requires_grad = h_grad
                 out = fn(h, w)
-                tensor_sum(mul(out, Tensor(weights))).backward()
+                tensor_sum(reference_mul(out, Tensor(weights))).backward()
                 runs.append([out.data, h.grad, w.grad])
             for a, b in zip(*runs):
                 assert (a is None) == (b is None)

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WAV_DAMAGE
-from serann import annotate, corpus, dsp, experiments, vqvae
+from serann import annotate, corpus, dsp, experiments, reports, vqvae
 from serann.cli import main
+from serann.fileio import read_json
 
 
 @pytest.fixture(scope="module")
@@ -274,15 +275,43 @@ def damaged_jsonl(raw: bytes, damage: str, rng: random.Random) -> bytes:
     """``raw`` cut at a seeded byte, with one byte flipped, or with one
     record edited: a field dropped, retyped or added, or the record wrapped
     in a list."""
-    if damage == "truncate":
-        return raw[: rng.randrange(len(raw))]
-    if damage == "flip":
-        out = bytearray(raw)
-        out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
-        return bytes(out)
+    if damage in ("truncate", "flip"):
+        return damaged_bytes(raw, damage, rng)
     lines = raw.decode().splitlines()
     i = rng.randrange(len(lines))
-    record = json.loads(lines[i])
+    lines[i] = json.dumps(edited_record(json.loads(lines[i]), damage, rng))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def damaged_json(raw: bytes, damage: str, rng: random.Random) -> bytes:
+    """The JSON document ``raw`` damaged as ``damaged_jsonl`` damages a
+    file, where the edited record is any non-empty object in the document,
+    nested ones included."""
+    if damage in ("truncate", "flip"):
+        return damaged_bytes(raw, damage, rng)
+    holder = {"document": json.loads(raw)}
+    slots, stack = [], [(holder, "document")]
+    while stack:
+        container, key = stack.pop()
+        value = container[key]
+        if isinstance(value, dict) and value:
+            slots.append((container, key))
+        if isinstance(value, (dict, list)):
+            stack.extend((value, k) for k in (value if isinstance(value, dict) else range(len(value))))
+    container, key = rng.choice(slots)
+    container[key] = edited_record(container[key], damage, rng)
+    return json.dumps(holder["document"], indent=2).encode()
+
+
+def damaged_bytes(raw: bytes, damage: str, rng: random.Random) -> bytes:
+    if damage == "truncate":
+        return raw[: rng.randrange(len(raw))]
+    out = bytearray(raw)
+    out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+    return bytes(out)
+
+
+def edited_record(record: dict, damage: str, rng: random.Random):
     key = rng.choice(sorted(record))
     if damage == "drop":
         del record[key]
@@ -293,9 +322,14 @@ def damaged_jsonl(raw: bytes, damage: str, rng: random.Random) -> bytes:
     elif damage == "add":
         record[f"extra_{rng.randrange(100)}"] = rng.choice([None, 1, "x"])
     else:
-        record = [record]
-    lines[i] = json.dumps(record)
-    return ("\n".join(lines) + "\n").encode()
+        return [record]
+    return record
+
+
+def read_vqvae_config(path):
+    """The desk VQ-VAE config with the ``vqvae`` section of ``path`` laid over it."""
+    return vqvae.VqVaeConfig.from_json(
+        {**vqvae.VqVaeConfig.desk().to_json(), **read_json(path).get("vqvae", {})})
 
 
 # The quick start's JSONL files, each with its reader and a command that
@@ -317,6 +351,17 @@ JSONL_READERS = {
         "train-classifier", "--manifest", "MANIFEST", "--mels", "MELS", "--labels-source", "llm",
         "--annotations", "DAMAGED", "--folds", "fixed", "--repeats", "1", "--desk-scale",
         "--max-epochs", "1", "--out", "OUT/r.json"]),
+}
+
+
+# The JSON documents, a desk VQ-VAE config and the fixture's report, each
+# with its reader and a command that reads it.
+JSON_READERS = {
+    "config.json": (read_vqvae_config, [
+        "train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale", "--epochs", "1",
+        "--config", "DAMAGED", "--out", "OUT/vq.serann"]),
+    "report.json": (lambda path: reports.validate_report(reports.read_report(path)), [
+        "report", "--in", "DAMAGED"]),
 }
 
 
@@ -404,6 +449,36 @@ class TestMalformedInputs:
         if result.exit_code != 0 or refused:
             assert_error_line(result, refused)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(JSON_READERS)),
+           st.sampled_from(["truncate", "flip", "drop", "retype", "add", "wrap"]),
+           st.integers(0, 2**32 - 1))
+    def test_damaged_json_fails_as_one_line(self, pipeline_dir, tmp_path_factory,
+                                            target, damage, seed):
+        """The command that reads a JSON document with seeded damage succeeds
+        or fails in one error line, which names the file if its reader
+        refuses it. An accepted config may still fail later, as a learning
+        rate that makes the loss non-finite does."""
+        work = tmp_path_factory.mktemp("damaged")
+        (work / "out").mkdir()
+        sources = {"config.json": json.dumps({"vqvae": vqvae.VqVaeConfig.desk().to_json()}, indent=2),
+                   "report.json": (pipeline_dir / "report.json").read_text()}
+        damaged = work / target
+        damaged.write_bytes(damaged_json(sources[target].encode(), damage, random.Random(seed)))
+        paths = {"MANIFEST": pipeline_dir / "corpus" / "manifest.jsonl",
+                 "MELS": pipeline_dir / "mels.serann", "DAMAGED": damaged, "OUT": work / "out"}
+        reader, command = JSON_READERS[target]
+        result = CliRunner().invoke(main, [
+            str(paths[arg]) if arg in paths else arg.replace("OUT", str(paths["OUT"]))
+            for arg in command])
+        try:
+            reader(damaged)
+            refused = ""
+        except (TypeError, ValueError):
+            refused = str(damaged)
+        if result.exit_code != 0 or refused:
+            assert_error_line(result, refused)
+
     def test_manifest_line_missing_fields(self, pipeline_dir, tmp_path):
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text('{"utterance_id": "u1", "audio_path": "a.wav"}\n')
@@ -439,6 +514,32 @@ class TestMalformedInputs:
         ])
         assert_error_line(result, f"{bad}:3", expected)
         assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("option, source", [("--features", "features.jsonl"),
+                                                ("--codes", "codes.jsonl")])
+    def test_context_file_lacking_a_record_is_named(self, pipeline_dir, tmp_path, option, source):
+        bad = tmp_path / source
+        bad.write_text("".join((pipeline_dir / source).read_text().splitlines(keepends=True)[:-1]))
+        context = {"--features": str(pipeline_dir / "features.jsonl"),
+                   "--codes": str(pipeline_dir / "codes.jsonl"), option: str(bad)}
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--variant", "full", "--backend", "mock:oracle",
+            *(arg for pair in context.items() for arg in pair), "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert_error_line(result, f"{bad} ({option})", "missing for 1 records")
+
+    def test_test_split_without_a_class_names_fold_seed_and_split(self, pipeline_dir, tmp_path):
+        annotations = tmp_path / "annotations.jsonl"
+        lines = (pipeline_dir / "annotations.jsonl").read_text().splitlines(keepends=True)
+        annotations.write_text("".join(lines[:8]))
+        result = CliRunner().invoke(main, [
+            "train-classifier", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(pipeline_dir / "mels.serann"), "--labels-source", "llm",
+            "--annotations", str(annotations), "--folds", "fixed", "--repeats", "1",
+            "--desk-scale", "--max-epochs", "1", "--out", str(tmp_path / "r.json"),
+        ])
+        assert_error_line(result, "fold 'fixed', seed 0: test split of", "has zero support")
 
     @pytest.mark.parametrize("args, text, expected", [
         pytest.param(
@@ -488,6 +589,21 @@ class TestMalformedInputs:
             id="config-section-not-an-object"),
         pytest.param(["report", "--in", "BAD"], "not json\n", "BAD: invalid JSON",
                      id="report-not-json"),
+        *(pytest.param(
+            ["train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--config", "BAD", "--out", "OUT/vq.serann"],
+            json.dumps({"vqvae": {name: value}}), f"invalid vqvae config in BAD: field {name!r}",
+            id=f"config-vqvae-{name}")
+          for name, value in [("learning_rate", "x"), ("kernel", 2.5), ("codebook_size", 1.5),
+                              ("channels", [4, 8, 16, 32.0, 64])]),
+        *(pytest.param(
+            ["train-classifier", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--config", "BAD", "--out", "OUT/r.json"],
+            json.dumps({"classifier": {name: value}}),
+            f"invalid classifier config in BAD: field {name!r}",
+            id=f"config-classifier-{name}")
+          for name, value in [("lr_init", "fast"), ("batch_size", 2.5), ("conv_stride", 0),
+                              ("blstm_units", 0), ("plateau_patience", None)]),
     ])
     def test_bad_file_is_one_error_line(self, pipeline_dir, tmp_path, args, text, expected):
         bad = tmp_path / "bad"

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import reference_run_augment_eval
 from serann.classifier import ClassifierConfig
-from serann.corpus import loso_folds
+from serann.corpus import LABELS, loso_folds
 from serann.experiments import (
     _carve_validation_speaker,
     materialize,
@@ -106,6 +106,22 @@ class TestRunners:
         assert len(report["augmented"]["uars"]) == 2
         reference = reference_run_augment_eval(base, extra, mels, desk(), seeds=[1, 2])
         assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_augment_eval_trains_extras_on_their_llm_labels(self, corpus_records, corpus_mels):
+        from dataclasses import replace
+
+        base = corpus_records[:40]
+        extra = [
+            replace(r, utterance_id="x_" + r.utterance_id,
+                    llm_label=LABELS[(LABELS.index(r.gold_label) + 1) % len(LABELS)])
+            for r in corpus_records[40:60]
+        ]
+        mels = dict(corpus_mels)
+        for r in extra:
+            mels[r.utterance_id] = corpus_mels[r.utterance_id.removeprefix("x_")]
+        with_gold = run_augment_eval(base, extra, mels, desk(1), seeds=[1])
+        without_gold = [replace(r, gold_label=None) for r in extra]
+        assert with_gold == run_augment_eval(base, without_gold, mels, desk(1), seeds=[1])
 
 
 class TestReportValidation:

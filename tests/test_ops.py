@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import reference_conv2d, reference_conv2d_transpose, reference_dense, reference_mse
+from conftest import (
+    reference_conv2d,
+    reference_conv2d_transpose,
+    reference_dense,
+    reference_mse,
+    reference_mul,
+)
 from serann.coremath import (
     Conv2d,
     ConvTranspose2d,
@@ -15,7 +21,6 @@ from serann.coremath import (
     dense,
     finite_diff_grad_check,
     mse,
-    mul,
     no_grad,
     ops,
     softmax_cross_entropy,
@@ -29,7 +34,7 @@ def leaf(shape, rng, scale=1.0):
 
 def scalarize(t):
     w = Tensor(np.linspace(0.5, 1.5, t.size).reshape(t.shape))
-    return tensor_sum(mul(t, w))
+    return tensor_sum(reference_mul(t, w))
 
 
 class TestConv2d:
@@ -170,7 +175,7 @@ class TestConvTranspose:
         def run(values):
             x, k = Tensor(values, requires_grad=True), Tensor(kernel, requires_grad=True)
             out = conv2d_transpose(x, k, (5, 1), (0, 1), (2, 0))
-            tensor_sum(mul(out, Tensor(weights))).backward()
+            tensor_sum(reference_mul(out, Tensor(weights))).backward()
             return [out.data, x.grad, k.grad]
 
         assert_same_bits(run(view), run(np.ascontiguousarray(view)))
@@ -229,7 +234,7 @@ def forward_backward(fn, x_shape, kernel, channels, dtype, activation, x_grad):
     k = Tensor(gen.normal(0, 0.5, kernel).astype(dtype), requires_grad=True)
     b = None if channels is None else Tensor(gen.normal(0, 0.5, channels).astype(dtype), requires_grad=True)
     out = fn(x, k, b, activation)
-    tensor_sum(mul(out, Tensor(gen.normal(size=out.shape).astype(dtype)))).backward()
+    tensor_sum(reference_mul(out, Tensor(gen.normal(size=out.shape).astype(dtype)))).backward()
     return [out.data, x.grad, k.grad, None if b is None else b.grad]
 
 
@@ -480,7 +485,7 @@ def grads_of(fn, leaves, dtype):
     from fixed weights."""
     out = fn(*leaves)
     weights = np.random.default_rng(19).normal(size=out.shape).astype(dtype)
-    tensor_sum(mul(out, Tensor(weights))).backward()
+    tensor_sum(reference_mul(out, Tensor(weights))).backward()
     return [out.data] + [t.grad for t in leaves]
 
 

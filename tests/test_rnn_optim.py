@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import reference_adam_step, tape_nodes
+from conftest import reference_adam_step, reference_mul, tape_nodes
 from serann import classifier
 from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
@@ -22,7 +22,6 @@ from serann.coremath import (
     bilstm,
     finite_diff_grad_check,
     load_into,
-    mul,
     softmax_cross_entropy,
     tensor_sum,
 )
@@ -116,7 +115,7 @@ class TestBiLstm:
             fwd, bwd = random_params(5, 4, Rng(8)), random_params(5, 4, Rng(9))
             x = Tensor(values, requires_grad=True)
             out = bilstm(x, fwd, bwd)
-            tensor_sum(mul(out, Tensor(weights))).backward()
+            tensor_sum(reference_mul(out, Tensor(weights))).backward()
             params = (fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b)
             return [out.data, x.grad] + [q.grad for q in params]
 
@@ -133,7 +132,7 @@ class TestBiLstm:
 
         def fn():
             out = bilstm(x, fwd, bwd)
-            return tensor_sum(mul(out, out))
+            return tensor_sum(reference_mul(out, out))
 
         assert finite_diff_grad_check(fn, wrt) < 1e-4
 
@@ -144,7 +143,7 @@ class TestBiLstm:
         weights = Tensor(np.linspace(0.5, 1.5, 2 * 6 * 4).reshape(2, 6, 4))
 
         def fn():
-            return tensor_sum(mul(bilstm(x, fwd, bwd), weights))
+            return tensor_sum(reference_mul(bilstm(x, fwd, bwd), weights))
 
         assert finite_diff_grad_check(fn, [x, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b]) < 1e-4
 
@@ -155,7 +154,7 @@ class TestBiLstm:
 
         def fn():
             out = bilstm(x, params, params)
-            return tensor_sum(mul(out, out))
+            return tensor_sum(reference_mul(out, out))
 
         assert finite_diff_grad_check(fn, [x, params.wx, params.wh, params.b]) < 1e-4
 

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import reference_add, reference_mul, reference_neg
 from serann.coremath import (
     LstmParams,
     Rng,
@@ -15,8 +16,6 @@ from serann.coremath import (
     dense,
     finite_diff_grad_check,
     mse,
-    mul,
-    neg,
     no_grad,
     reshape,
     softmax_cross_entropy,
@@ -33,19 +32,19 @@ def leaf(shape, rng, scale=1.0):
 
 def scalarize(t):
     w = Tensor(np.linspace(0.5, 1.5, t.size).reshape(t.shape))
-    return tensor_sum(mul(t, w))
+    return tensor_sum(reference_mul(t, w))
 
 
 class TestPrimitiveGradients:
     def test_broadcast_add_mul(self, rng):
         a = leaf((2, 3, 4), rng)
         b = leaf((3, 1), rng)
-        err = finite_diff_grad_check(lambda: scalarize((a + b) * b), [a, b])
+        err = finite_diff_grad_check(lambda: scalarize(reference_mul(reference_add(a, b), b)), [a, b])
         assert err < 1e-6
 
     def test_reductions(self, rng):
         x = leaf((3, 4), rng)
-        err = finite_diff_grad_check(lambda: tensor_sum(mul(x, x)), [x])
+        err = finite_diff_grad_check(lambda: tensor_sum(reference_mul(x, x)), [x])
         assert err < 1e-6
 
     def test_structure_ops(self, rng):
@@ -68,9 +67,18 @@ class TestTensorBasics:
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        out = tensor_sum(x * x + x)
+        out = tensor_sum(reference_add(reference_mul(x, x), x))
         out.backward()
         np.testing.assert_allclose(x.grad, [5.0])
+
+    @pytest.mark.parametrize("other", [(3, 1), (1, 2, 2), 1.0], ids=["broadcast", "rank", "number"])
+    def test_add_takes_two_tensors_of_one_shape(self, rng, other):
+        x = leaf((2, 2), rng)
+        other = leaf(other, rng) if isinstance(other, tuple) else other
+        with pytest.raises(ShapeError, match="one shape"):
+            add(x, other)
+        with pytest.raises(ShapeError, match="one shape"):
+            x + other
 
     def test_int_input_coerced_to_float(self):
         t = Tensor([1, 2, 3])
@@ -86,13 +94,14 @@ def every_op(rng):
     conv_bias = leaf((3,), rng)
     grid = leaf((2, 4, 1, 3), rng)
     return lambda: [
-        add(a, a), mul(a, a), neg(a), tensor_sum(a), reshape(a, (4, 3)), transpose(a, (1, 0)),
+        add(a, a), reference_mul(a, a), reference_neg(a), tensor_sum(a), reshape(a, (4, 3)),
+        transpose(a, (1, 0)),
         attention_pool(seq, w),
         quantize(grid, a)[0], *codebook_losses(grid, a, np.array([2, 0, 2, 1, 0, 2]), 0.25),
         conv2d(img, kern, padding=1), conv2d_transpose(conv2d(img, kern), tkern, stride=2),
         conv2d(img, kern, 1, 1, conv_bias, "relu"),
         conv2d_transpose(conv2d(img, kern), tkern, 2, 0, 1, bias, "relu"),
-        dense(a, b, bias, "relu"), softmax_cross_entropy(a, np.array([0, 1, 3])), mse(a, neg(a)),
+        dense(a, b, bias, "relu"), softmax_cross_entropy(a, np.array([0, 1, 3])), mse(a, reference_neg(a)),
         bilstm(seq, lstm, lstm),
     ]
 
@@ -118,15 +127,15 @@ class TestNoGrad:
         with no_grad():
             with no_grad():
                 pass
-            assert mul(x, x)._parents == ()
-        tensor_sum(mul(x, x)).backward()
+            assert reference_mul(x, x)._parents == ()
+        tensor_sum(reference_mul(x, x)).backward()
         np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_scope_is_per_thread(self, rng):
         x = leaf((3,), rng)
         parents = []
         with no_grad():
-            worker = threading.Thread(target=lambda: parents.append(mul(x, x)._parents))
+            worker = threading.Thread(target=lambda: parents.append(reference_mul(x, x)._parents))
             worker.start()
             worker.join(timeout=10)
         assert not worker.is_alive()

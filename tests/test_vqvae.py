@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_codes,
+    reference_add,
     reference_check_codebook_rows,
+    reference_mul,
+    reference_neg,
     reference_nearest_codes,
     reference_vq_losses,
     tape_nodes,
@@ -23,7 +26,6 @@ from serann.coremath import (
     Tensor,
     finite_diff_grad_check,
     mse,
-    mul,
     no_grad,
     tensor_sum,
 )
@@ -124,7 +126,7 @@ class TestEncodeDecode:
 
         def fn():
             out = model.decode(z)
-            return tensor_sum(mul(out, out))
+            return tensor_sum(reference_mul(out, out))
 
         err = finite_diff_grad_check(fn, wrt, max_checks_per_tensor=4, rng=Rng(5))
         assert err < 1e-4
@@ -536,8 +538,8 @@ class TestTraining:
         z_q, codes = quantize(z_e, model.codebook)
         np.testing.assert_array_equal(flatten_grid(z_q).data, model.codebook.data[codes])
         x_hat = model.decode(z_q)
-        diff = x - x_hat
-        recon = tensor_sum(mul(diff, diff))
+        diff = reference_add(x, reference_neg(x_hat))
+        recon = tensor_sum(reference_mul(diff, diff))
         recon.backward()
         assert z_q.grad is not None
         assert z_e.grad.tobytes() == z_q.grad.tobytes()
