@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 from ..corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from ..coremath.rng import Rng
 from ..dsp import UtteranceFeatures
-from ..fileio import json_string, read_records, write_jsonl
+from ..fileio import json_string, jsonl_line, read_records, write_jsonl
 from .backends import Backend, BackendError, CompletionRequest
 from .prompts import (
     TEMPLATE_VERSION,
@@ -120,7 +120,7 @@ class AnnotationCache:
             self._entries[key] = result
             if self._handle is None:
                 self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(json.dumps(result.to_json(), sort_keys=True) + "\n")
+            self._handle.write(jsonl_line(result.to_json()))
             self._handle.flush()
 
     def close(self) -> None:
@@ -219,21 +219,21 @@ def annotate_corpus(
         raise ValueError(f"failure_budget must be >= 0, got {failure_budget}")
     features_by_id = dict(features_by_id or {})
     codes_by_id = dict(codes_by_id or {})
+    chosen = []
+    if shots == "few":
+        pool = few_shot_pool if few_shot_pool is not None else records
+        chosen = select_few_shot(pool, Rng(seed).spawn("few-shot"), balanced_few_shot)
+    subjects = dict.fromkeys(r.utterance_id for r in (*records, *chosen))  # targets, then exemplars
     for needed, available, context in (
         (variant.needs_features, features_by_id, "features"),
         (variant.needs_codes, codes_by_id, "codes"),
     ):
-        missing = [r.utterance_id for r in records if r.utterance_id not in available]
+        missing = [uid for uid in subjects if uid not in available]
         if needed and missing:
             raise MissingContextFileError(
                 f"{context} missing for {len(missing)} records (first: {missing[0]!r})", context
             )
-
-    few_shot = ""
-    if shots == "few":
-        pool = few_shot_pool if few_shot_pool is not None else records
-        chosen = select_few_shot(pool, Rng(seed).spawn("few-shot"), balanced_few_shot)
-        few_shot = few_shot_block(chosen, variant, features_by_id, codes_by_id)
+    few_shot = few_shot_block(chosen, variant, features_by_id, codes_by_id) if chosen else ""
     specs = [
         build_prompt(
             record,

@@ -20,8 +20,8 @@ below the floor, or at the hard epoch cap.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class ClassifierConfig:
             )
         if self.classes != len(LABELS):
             raise ValueError(f"classes must be {len(LABELS)}")
+        h, w = self.input_bands, self.input_frames
+        for name, k in (("conv1_kernel", self.conv1_kernel), ("conv2_kernel", self.conv2_kernel)):
+            if k > min(h, w):
+                raise ValueError(f"field {name!r}: {k} is larger than the {h}x{w} map it slides over")
+            h, w = (conv_output_size(n, k, self.conv_stride, 2 * (k // 2)) for n in (h, w))
 
     @classmethod
     def desk(cls) -> "ClassifierConfig":
@@ -82,13 +87,6 @@ class ClassifierConfig:
             lr_init=3e-3,
             lr_floor=3e-4,
         )
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ClassifierConfig":
-        return cls(**dict(data))
 
 
 def attention_weights(h: Tensor, w: Tensor) -> np.ndarray:

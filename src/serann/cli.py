@@ -24,7 +24,7 @@ from . import annotate as ann
 from . import dsp, experiments, reports, synthetic, vqvae
 from .classifier import ClassifierConfig
 from .corpus import LABELS, load_manifest, resolve_audio_path
-from .fileio import read_json
+from .fileio import read_config
 from .vqvae import VqVae, VqVaeConfig
 
 
@@ -35,17 +35,8 @@ def _fail(message: str) -> None:
 
 def _model_config(config_type, section: str, desk_scale: bool, config_path, **overrides):
     """Defaults (desk profile if ``desk_scale``) < --config ``section`` < set ``overrides``."""
-    values = read_json(config_path).get(section, {}) if config_path else {}
-    if not isinstance(values, dict):
-        _fail(f"{config_path}: section {section!r} must be a JSON object")
     base = config_type.desk() if desk_scale else config_type()
-    merged = {**base.to_json(), **values}
-    merged.update((name, value) for name, value in overrides.items() if value is not None)
-    try:
-        return config_type.from_json(merged)
-    except (TypeError, ValueError) as exc:
-        source = f" in {config_path}" if config_path else ""
-        _fail(f"invalid {section} config{source}: {exc}")
+    return read_config(config_type, config_path, section, base, **overrides)
 
 
 def _load_mels_for(records, *mels_paths) -> dict:
@@ -62,18 +53,18 @@ def _load_mels_for(records, *mels_paths) -> dict:
 
 class _Pipeline(click.Group):
     """The one error boundary: a serann input error (a ``ValueError``), a
-    missing or unwritable file, a non-finite loss or a failed annotation run
-    becomes ``error: <message>`` and exit status 1. A ``KeyError``,
+    missing or unwritable file, a non-finite loss, a failed annotation run or
+    allocation becomes ``error: <message>`` and exit status 1. A ``KeyError``,
     ``TypeError`` or ``AttributeError`` is a bug and keeps its traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError, FloatingPointError, ann.BackendError,
+        except (ValueError, OSError, FloatingPointError, MemoryError, ann.BackendError,
                 ann.AnnotationRunError) as exc:
             if isinstance(exc, BrokenPipeError):
                 raise  # click's own handler exits quietly on a closed stdout
-            _fail(str(exc))
+            _fail(str(exc) or type(exc).__name__)  # a bare MemoryError has no message
 
 
 @click.group(cls=_Pipeline)
@@ -225,13 +216,11 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
     if ctx_variant.needs_codes and not codes_path:
         _fail(f"variant {ctx_variant.value} requires --codes")
 
-    pool = records
-    if few_shot_manifest:
-        pool = load_manifest(few_shot_manifest)
-        if few_shot_features:
-            features_by_id = {**dsp.load_features(few_shot_features), **features_by_id}
-        if few_shot_codes:
-            codes_by_id = {**vqvae.load_codes(few_shot_codes), **codes_by_id}
+    pool = load_manifest(few_shot_manifest) if few_shot_manifest else records
+    if few_shot_features:
+        features_by_id = {**dsp.load_features(few_shot_features), **features_by_id}
+    if few_shot_codes:
+        codes_by_id = {**vqvae.load_codes(few_shot_codes), **codes_by_id}
 
     backend = _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm,
                              timeout, max_retries, temperature, records, seed)
@@ -255,8 +244,10 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
                 concurrency=concurrency,
             )
         except ann.MissingContextFileError as exc:
-            path = features_path if exc.context == "features" else codes_path
-            _fail(f"{path} (--{exc.context}): {exc}")
+            files = {"--features": features_path, "--few-shot-features": few_shot_features,
+                     "--codes": codes_path, "--few-shot-codes": few_shot_codes}
+            named = (f"{path} ({flag})" for flag, path in files.items() if path and flag.endswith(exc.context))
+            _fail(f"{', '.join(named)}: {exc}")
     ann.write_annotations(annotations_out, results)
     summary_doc = {"schema_version": reports.SCHEMA_VERSION, "kind": "annotation_summary",
                    **summary.to_json()}
@@ -347,6 +338,9 @@ def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra
     extra_records = ann.apply_annotations(
         load_manifest(extra_manifest), ann.load_annotations(extra_annotations)
     )
+    unannotated = sum(r.llm_label is None for r in extra_records)
+    if unannotated:
+        click.echo(f"excluding {unannotated} extra records without annotations", err=True)
     extra_records = [r for r in extra_records if r.llm_label is not None]
     trained = [*base_records, *(r for r in extra_records if r.llm_label in LABELS)]
     mels_by_id = _load_mels_for(trained, base_mels, extra_mels)

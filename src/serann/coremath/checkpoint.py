@@ -17,16 +17,15 @@ allocation of the size it claims.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
-from pathlib import Path
+from dataclasses import asdict
 from typing import Mapping
 
 import numpy as np
 
-from ..fileio import atomic_write, read_json
+from ..fileio import atomic_write, read_config, write_json
 from .tensor import Tensor
 
 MAGIC = b"SERANN"
@@ -156,10 +155,10 @@ class _NoDraws:
 
 class Checkpointable:
     """Model file support: the parameter blob at ``path`` plus the model's
-    configuration in a ``<path>.config.json`` sidecar.
+    configuration in a ``<path>.config.json`` sidecar that sets every field.
 
-    Subclasses name their config type in ``config_type`` (with ``to_json``
-    and ``from_json``), build from ``(config, rng)`` and expose ``params()``.
+    Subclasses name their config dataclass in ``config_type``, build from
+    ``(config, rng)`` and expose ``params()``.
     ``load`` calls that constructor with ``_NoDraws`` for ``rng``, so a
     constructor draws through ``spawn`` and ``uniform`` only, and checks the
     values it drew only when ``rng`` is an ``Rng``.
@@ -169,19 +168,11 @@ class Checkpointable:
 
     def save(self, path) -> None:
         save_checkpoint(path, {name: t.data for name, t in self.params().items()})
-        text = json.dumps(self.config.to_json(), sort_keys=True, indent=2) + "\n"
-        atomic_write(str(path) + ".config.json", text.encode("utf-8"))
+        write_json(f"{path}.config.json", asdict(self.config))
 
     @classmethod
-    def load(cls, path, config=None):
-        if config is None:
-            sidecar = Path(str(path) + ".config.json")
-            if not sidecar.exists():
-                raise FileNotFoundError(
-                    f"{sidecar}: config sidecar missing; pass the configuration explicitly"
-                )
-            config = cls.config_type.from_json(read_json(sidecar))
-        model = cls(config, _NoDraws())
+    def load(cls, path):
+        model = cls(read_config(cls.config_type, f"{path}.config.json"), _NoDraws())
         blobs = load_checkpoint(path)
         # The blobs were just read and nothing else holds them, so
         # parameters of the file's dtype take them without a copy.

@@ -104,7 +104,7 @@ def _pad_spec(padding) -> tuple[tuple[int, int], tuple[int, int]]:
 def _check_epilogue(bias: Tensor | None, channels: int, activation: str | None) -> None:
     if bias is not None and bias.shape != (channels,):
         raise ShapeError(f"bias shape {bias.shape} must be ({channels},)")
-    if activation not in (None, "none", "relu"):
+    if activation not in (None, "relu"):
         raise ValueError(f"unknown activation {activation!r}")
 
 

@@ -17,13 +17,13 @@ entries and streams each one to disk.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from ..fileio import jsonl_line
 from .rng import Rng
 from .tensor import Tensor
 
@@ -142,14 +142,7 @@ class Adam:
     wins the row mask is dropped for good.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: Mapping[str, Tensor], learning_rate: float):
         self.params = dict(params)
         first: dict[int, str] = {}
         shared = [
@@ -164,7 +157,7 @@ class Adam:
         frozen = [name for name, t in self.params.items() if not t.data.flags.writeable]
         if frozen:
             raise ValueError(f"parameters {frozen} have read-only data; Adam updates data in place")
-        self.state = AdamState(learning_rate, beta1, beta2, epsilon)
+        self.state = AdamState(learning_rate)
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         self._live: dict[str, np.ndarray] = {}
 
@@ -261,4 +254,4 @@ class History:
         self.entries.append(entry)
         if self.path:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                handle.write(jsonl_line(entry))

@@ -9,7 +9,7 @@ seed) as validation; train, validation, and test speakers stay disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -150,7 +150,7 @@ def run_plan(
             fold_uars.setdefault(fold.name, []).append(score)
             scores.append(score)
         per_repeat.append(float(np.mean(scores)))
-    digest = config_digest({"classifier": config.to_json(), "protocol": protocol})
+    digest = config_digest({"classifier": asdict(config), "protocol": protocol})
     report: RunReport = aggregate_runs(per_repeat, digest)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -158,7 +158,7 @@ def run_plan(
         "protocol": protocol,
         "labels_source": labels_source,
         "seeds": [int(s) for s in seeds],
-        "config": config.to_json(),
+        "config": asdict(config),
         "aggregate": report.to_json(),
         "folds": [{"name": name, "uars": fold_uars[name]} for name in sorted(fold_uars)],
     }
@@ -238,7 +238,7 @@ def run_augment_eval(
         "schema_version": SCHEMA_VERSION,
         "kind": "augment_eval",
         "seeds": [int(s) for s in seeds],
-        "config": config.to_json(),
+        "config": asdict(config),
         "baseline": baseline,
         "augmented": augmented,
         "delta_mean": augmented["mean"] - baseline["mean"],

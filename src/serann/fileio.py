@@ -1,4 +1,5 @@
-"""Atomic whole-file writes and the JSONL record format of tabular artifacts.
+"""Atomic whole-file writes, the JSONL record format of tabular artifacts,
+and JSON documents: reports, ``--config`` files and model sidecars.
 
 ``atomic_write`` replaces its target through a temporary file in the same
 directory, so a process killed mid-write leaves the previous file intact. It
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -37,10 +38,14 @@ def atomic_write(path, data: bytes | Sequence) -> None:
         raise
 
 
+def jsonl_line(record: dict) -> str:
+    """``record`` as one line of a JSONL file: keys sorted, newline-terminated."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    """One JSON object per line, keys sorted; replaces ``path`` atomically."""
-    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-    atomic_write(path, text.encode("utf-8"))
+    """One ``jsonl_line`` per record; replaces ``path`` atomically."""
+    atomic_write(path, "".join(map(jsonl_line, records)).encode("utf-8"))
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
@@ -108,6 +113,34 @@ def read_json(path) -> dict:
     return document
 
 
+def write_json(path, document: dict) -> None:
+    """``document`` indented by 2, keys sorted, newline-terminated; replaces ``path`` atomically."""
+    atomic_write(path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def read_config(config_type, path, section: str | None = None, base=None, **overrides):
+    """A ``config_type`` from the JSON object in ``path`` or its ``section``
+    (no ``path`` reads as ``{}``) over the fields of ``base`` and under the
+    ``overrides`` that are not None; without a ``base`` every field must be
+    set. An unknown, missing or refused field is one JsonlError naming ``path``."""
+    values = read_json(path) if path else {}
+    if section is not None:
+        values = values.get(section, {})
+        if not isinstance(values, dict):
+            raise JsonlError(f"{path}: section {section!r} must be a JSON object")
+    merged = {**(asdict(base) if base is not None else {}), **values}
+    merged.update((name, value) for name, value in overrides.items() if value is not None)
+    names = [f.name for f in fields(config_type)]
+    faults = [f"field {name!r}: not a setting" for name in sorted(merged.keys() - set(names))]
+    faults += [f"field {name!r}: missing" for name in names if name not in merged]
+    try:
+        if faults:
+            raise ValueError(faults[0])
+        return config_type(**merged)
+    except ValueError as exc:
+        raise JsonlError(f"invalid {section or 'model'} config{f' in {path}' if path else ''}: {exc}") from exc
+
+
 def json_string(value) -> str:
     """``value`` itself if it is a JSON string."""
     if not isinstance(value, str):
@@ -141,9 +174,9 @@ def json_count(value) -> int:
 
 def check_config_fields(config) -> None:
     """Refuse a dataclass config unless every ``int`` field, and every entry
-    of a ``tuple[int, ...]`` field, passes ``json_count`` and every ``float``
-    field passes ``json_finite_number``; the ValueError names the field. The
-    field types are read from the annotations as written."""
+    of a ``tuple[int, ...]`` field (a JSON list becomes the tuple), passes
+    ``json_count`` and every ``float`` field passes ``json_finite_number``;
+    the ValueError names the field. Types are read from the annotations."""
     for f in fields(config):
         value = getattr(config, f.name)
         try:
@@ -152,6 +185,9 @@ def check_config_fields(config) -> None:
             elif f.type == "float":
                 json_finite_number(value)
             elif f.type == "tuple[int, ...]":
+                if not isinstance(value, (list, tuple)):
+                    raise TypeError(f"expected a list, got {type(value).__name__}")
+                setattr(config, f.name, tuple(value))
                 for entry in value:
                     json_count(entry)
         except (TypeError, ValueError) as exc:

@@ -7,11 +7,9 @@ its kind.
 
 from __future__ import annotations
 
-import json
-
 import jsonschema
 
-from .fileio import atomic_write, read_json
+from .fileio import read_json, write_json
 
 SCHEMA_VERSION = 1
 
@@ -117,7 +115,7 @@ def validate_report(document: dict) -> None:
 
 def write_report(path, document: dict) -> None:
     validate_report(document)
-    atomic_write(path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, document)
 
 
 def read_report(path) -> dict:

@@ -20,7 +20,7 @@ padding so its window sits on rows 0..2 of the residual 5-row map.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,17 +91,6 @@ class VqVaeConfig:
             batch_size=32,
             learning_rate=5e-3,
         )
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["channels"] = list(self.channels)
-        return out
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "VqVaeConfig":
-        data = dict(data)
-        data["channels"] = tuple(data["channels"])
-        return cls(**data)
 
 
 @dataclass
@@ -422,23 +411,23 @@ def train_step(model: VqVae, batch: np.ndarray, adam: Adam) -> tuple[LossBundle,
     return LossBundle(terms["recon"], terms["codebook"], terms["commitment"], total), codes
 
 
-def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray], batch_size: int = 32):
+def _quantized_batches(model: VqVae, mels: Sequence[np.ndarray]):
     """Encode and quantize ``mels`` (a sequence of (80, 256) arrays) in
-    batches; yields each batch's input, quantized grid and per-row codes."""
-    for start in range(0, len(mels), batch_size):
-        chunk = np.asarray(mels[start : start + batch_size], dtype=model.dtype)
+    batches of 32; yields each batch's input, quantized grid and per-row codes."""
+    for start in range(0, len(mels), 32):
+        chunk = np.asarray(mels[start : start + 32], dtype=model.dtype)
         x = Tensor(chunk[:, None, :, :])
         with no_grad():
             z_q, codes = quantize(model.encode(x), model.codebook)
         yield x, z_q, codes.reshape(len(chunk), -1)
 
 
-def reconstruction_loss(model: VqVae, mels: np.ndarray, batch_size: int = 32) -> float:
+def reconstruction_loss(model: VqVae, mels: np.ndarray) -> float:
     """Mean squared reconstruction error over a (N, 80, 256) array."""
     if len(mels) == 0:
         raise ValueError("no mels to reconstruct")
     total = 0.0
-    for x, z_q, _ in _quantized_batches(model, mels, batch_size):
+    for x, z_q, _ in _quantized_batches(model, mels):
         with no_grad():
             total += float(mse(x, model.decode(z_q)).data) * len(x.data)
     return total / len(mels)

@@ -1,5 +1,6 @@
 import re
 from collections import defaultdict
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -517,14 +518,14 @@ def reference_run_augment_eval(
             test_ids=fold.test_ids,
         )
         aug_uars.append(run_fold(augmented_fold, records_by_id, mels_by_id, "auto", config, seed))
-    digest = config_digest({"classifier": config.to_json(), "protocol": "augment_eval"})
+    digest = config_digest({"classifier": asdict(config), "protocol": "augment_eval"})
     baseline = aggregate_runs(base_uars, digest)
     augmented = aggregate_runs(aug_uars, digest)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "augment_eval",
         "seeds": [int(s) for s in seeds],
-        "config": config.to_json(),
+        "config": asdict(config),
         "baseline": baseline.to_json(),
         "augmented": augmented.to_json(),
         "delta_mean": augmented.mean - baseline.mean,

@@ -54,6 +54,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="larger"):
             ClassifierConfig(conv1_kernel=3, conv2_kernel=3)
 
+    @pytest.mark.parametrize("refused, accepted, message", [
+        ({"conv1_kernel": 300}, {"conv1_kernel": 80}, "'conv1_kernel': 300 is larger than the 80x256 map"),
+        ({"conv1_kernel": 9, "input_bands": 8}, {"conv1_kernel": 8, "input_bands": 8},
+         "'conv1_kernel': 9 is larger than the 8x256 map"),
+        ({"conv1_kernel": 43, "conv2_kernel": 41}, {"conv1_kernel": 43, "conv2_kernel": 40},
+         "'conv2_kernel': 41 is larger than the 40x128 map"),
+    ])
+    def test_kernel_larger_than_its_input_map_rejected(self, refused, accepted, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifierConfig(**refused)
+        ClassifierConfig(**accepted)
+
     def test_classes_fixed_at_four(self):
         with pytest.raises(ValueError):
             ClassifierConfig(classes=5)

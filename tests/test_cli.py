@@ -2,6 +2,7 @@ import json
 import math
 import random
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import WAV_DAMAGE
 from serann import annotate, corpus, dsp, experiments, reports, vqvae
 from serann.cli import main
-from serann.fileio import read_json
+from serann.fileio import read_config
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,36 @@ class TestPipeline:
         result = runner.invoke(main, ["report", "--in", str(pipeline_dir / "report.json")])
         assert result.exit_code == 0
         assert "UAR" in result.output
+
+    def test_report_summarizes_an_annotation_summary(self, pipeline_dir):
+        result = CliRunner().invoke(
+            main, ["report", "--in", str(pipeline_dir / "annotations.jsonl.summary.json")])
+        assert result.exit_code == 0, result.output
+        assert "kind: annotation_summary" in result.output
+        assert "total: 20  unparseable rate: 0.000" in result.output
+
+    def test_cross_corpus_run(self, pipeline_dir, tmp_path):
+        """Speakers 0-2 train and speakers 3-4 are the held-out corpus."""
+        lines = (pipeline_dir / "corpus" / "manifest.jsonl").read_text().splitlines(keepends=True)
+        by_speaker = {}
+        for line in lines:
+            by_speaker.setdefault(json.loads(line)["speaker_id"], []).append(line)
+        speakers = sorted(by_speaker)
+        train, held_out = tmp_path / "train.jsonl", tmp_path / "eval.jsonl"
+        train.write_text("".join(line for s in speakers[:3] for line in by_speaker[s]))
+        held_out.write_text("".join(line for s in speakers[3:] for line in by_speaker[s]))
+        report = tmp_path / "r.json"
+        mels = str(pipeline_dir / "mels.serann")
+        result = CliRunner().invoke(main, [
+            "train-classifier", "--manifest", str(train), "--mels", mels, "--folds", "cross",
+            "--eval-manifest", str(held_out), "--eval-mels", mels, "--desk-scale",
+            "--max-epochs", "1", "--repeats", "1", "--out", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        assert CliRunner().invoke(main, ["report", "--in", str(report), "--validate"]).output == "valid\n"
+        summary = CliRunner().invoke(main, ["report", "--in", str(report)]).output
+        assert "protocol: cross_corpus  labels: gold" in summary
+        assert "fold cross_corpus:" in summary
 
     def test_per_run_artifacts_written(self, pipeline_dir):
         artifacts = pipeline_dir / "report.json.artifacts"
@@ -328,8 +359,7 @@ def edited_record(record: dict, damage: str, rng: random.Random):
 
 def read_vqvae_config(path):
     """The desk VQ-VAE config with the ``vqvae`` section of ``path`` laid over it."""
-    return vqvae.VqVaeConfig.from_json(
-        {**vqvae.VqVaeConfig.desk().to_json(), **read_json(path).get("vqvae", {})})
+    return read_config(vqvae.VqVaeConfig, path, "vqvae", vqvae.VqVaeConfig.desk())
 
 
 # The quick start's JSONL files, each with its reader and a command that
@@ -354,14 +384,18 @@ JSONL_READERS = {
 }
 
 
-# The JSON documents, a desk VQ-VAE config and the fixture's report, each
-# with its reader and a command that reads it.
+# The JSON documents, a desk VQ-VAE config, the fixture's report and its
+# VQ-VAE's sidecar, each with its reader and a command that reads it;
+# CHECKPOINT is a copy of the VQ-VAE container beside the damaged sidecar.
 JSON_READERS = {
     "config.json": (read_vqvae_config, [
         "train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale", "--epochs", "1",
         "--config", "DAMAGED", "--out", "OUT/vq.serann"]),
     "report.json": (lambda path: reports.validate_report(reports.read_report(path)), [
         "report", "--in", "DAMAGED"]),
+    "vq.serann.config.json": (lambda path: read_config(vqvae.VqVaeConfig, path), [
+        "encode", "--manifest", "MANIFEST", "--mels", "MELS", "--checkpoint", "CHECKPOINT",
+        "--out", "OUT/codes.jsonl"]),
 }
 
 
@@ -461,12 +495,15 @@ class TestMalformedInputs:
         rate that makes the loss non-finite does."""
         work = tmp_path_factory.mktemp("damaged")
         (work / "out").mkdir()
-        sources = {"config.json": json.dumps({"vqvae": vqvae.VqVaeConfig.desk().to_json()}, indent=2),
-                   "report.json": (pipeline_dir / "report.json").read_text()}
+        sources = {"config.json": json.dumps({"vqvae": asdict(vqvae.VqVaeConfig.desk())}, indent=2),
+                   "report.json": (pipeline_dir / "report.json").read_text(),
+                   "vq.serann.config.json": (pipeline_dir / "vq.serann.config.json").read_text()}
         damaged = work / target
         damaged.write_bytes(damaged_json(sources[target].encode(), damage, random.Random(seed)))
+        (work / "vq.serann").write_bytes((pipeline_dir / "vq.serann").read_bytes())
         paths = {"MANIFEST": pipeline_dir / "corpus" / "manifest.jsonl",
-                 "MELS": pipeline_dir / "mels.serann", "DAMAGED": damaged, "OUT": work / "out"}
+                 "MELS": pipeline_dir / "mels.serann", "CHECKPOINT": work / "vq.serann",
+                 "DAMAGED": damaged, "OUT": work / "out"}
         reader, command = JSON_READERS[target]
         result = CliRunner().invoke(main, [
             str(paths[arg]) if arg in paths else arg.replace("OUT", str(paths["OUT"]))
@@ -528,6 +565,56 @@ class TestMalformedInputs:
             *(arg for pair in context.items() for arg in pair), "--out", str(tmp_path / "a.jsonl"),
         ])
         assert_error_line(result, f"{bad} ({option})", "missing for 1 records")
+
+    @pytest.mark.parametrize("option, source", [("--features", "features.jsonl"),
+                                                ("--codes", "codes.jsonl")])
+    def test_few_shot_exemplar_lacking_context_is_named(self, pipeline_dir, tmp_path, option, source):
+        """A pool under ``p0_`` ids whose ``--few-shot-*`` file holds one
+        record: the error names that file and the target's."""
+        pool = TestMelCacheCheck.relabeled(pipeline_dir / "corpus" / "manifest.jsonl", tmp_path, "p0_")
+        context = {}
+        for flag, name in (("--features", "features.jsonl"), ("--codes", "codes.jsonl")):
+            pooled = Path(TestMelCacheCheck.relabeled(pipeline_dir / name, tmp_path, "p0_"))
+            if flag == option:
+                pooled.write_text(pooled.read_text().splitlines(keepends=True)[0])
+            context[flag] = str(pipeline_dir / name)
+            context[flag.replace("--", "--few-shot-")] = str(pooled)
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--variant", "full", "--shots", "few", "--backend", "mock:oracle",
+            "--few-shot-manifest", pool, *(arg for pair in context.items() for arg in pair),
+            "--out", str(tmp_path / "a.jsonl"),
+        ])
+        few_shot_option = option.replace("--", "--few-shot-")
+        assert_error_line(result, f"{pipeline_dir / source} ({option}), "
+                                  f"{context[few_shot_option]} ({few_shot_option})",
+                          "records (first: 'p0_")
+        assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda c: {**c, "extra": 1}, "field 'extra': not a setting", id="extra-field"),
+        pytest.param(lambda c: {k: v for k, v in c.items() if k != "channels"},
+                     "field 'channels': missing", id="missing-channels"),
+        pytest.param(lambda c: {**c, "channels": 5}, "field 'channels': expected a list, got int",
+                     id="channels-a-number"),
+        pytest.param(lambda c: {**c, "kernel": 2.5}, "field 'kernel': expected an integer",
+                     id="kernel-a-fraction"),
+        pytest.param(lambda c: [c], "expected a JSON object, got list", id="a-list"),
+        pytest.param(lambda c: {**c, "beta": -1.0}, "beta must be positive", id="refused-beta"),
+    ])
+    def test_damaged_sidecar_is_one_error_line(self, pipeline_dir, tmp_path, edit, expected):
+        checkpoint = tmp_path / "vq.serann"
+        checkpoint.write_bytes((pipeline_dir / "vq.serann").read_bytes())
+        sidecar = tmp_path / "vq.serann.config.json"
+        sidecar.write_text(json.dumps(edit(json.loads(
+            (pipeline_dir / "vq.serann.config.json").read_text()))))
+        result = CliRunner().invoke(main, [
+            "encode", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--mels", str(pipeline_dir / "mels.serann"), "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "codes.jsonl"),
+        ])
+        assert_error_line(result, str(sidecar), expected)
+        assert not (tmp_path / "codes.jsonl").exists()
 
     def test_test_split_without_a_class_names_fold_seed_and_split(self, pipeline_dir, tmp_path):
         annotations = tmp_path / "annotations.jsonl"
@@ -603,7 +690,8 @@ class TestMalformedInputs:
             f"invalid classifier config in BAD: field {name!r}",
             id=f"config-classifier-{name}")
           for name, value in [("lr_init", "fast"), ("batch_size", 2.5), ("conv_stride", 0),
-                              ("blstm_units", 0), ("plateau_patience", None)]),
+                              ("blstm_units", 0), ("plateau_patience", None),
+                              ("conv1_kernel", 300)]),
     ])
     def test_bad_file_is_one_error_line(self, pipeline_dir, tmp_path, args, text, expected):
         bad = tmp_path / "bad"
@@ -762,6 +850,24 @@ class TestMelCacheCheck:
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["extra_records_used"], report["extra_records_excluded"]) == (19, 1)
 
+    def test_extras_without_annotations_are_counted(self, pipeline_dir, tmp_path):
+        """Extras whose annotation is absent are left out and counted on
+        stderr; ``report`` summarizes the augment_eval document."""
+        _, args = self.augment_args(pipeline_dir, tmp_path)
+        annotations = Path(args[args.index("--extra-annotations") + 1])
+        # Drop the last four annotations, the extra without a mel among them.
+        annotations.write_text("".join(annotations.read_text().splitlines(keepends=True)[:-4]))
+        report = tmp_path / "r.json"
+        result = CliRunner().invoke(main, [
+            *args, "--desk-scale", "--max-epochs", "1", "--repeats", "1", "--out", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "excluding 4 extra records without annotations\n"
+        summary = CliRunner().invoke(main, ["report", "--in", str(report)])
+        assert summary.exit_code == 0, summary.output
+        assert summary.output.startswith("kind: augment_eval (schema v1)\nbaseline ")
+        assert "-> augmented" in summary.output
+
     @pytest.mark.parametrize("label", ["joy", 7])
     def test_extra_label_outside_the_classes_is_one_error_line(self, pipeline_dir, tmp_path, label):
         """Extras without gold labels train on their annotated label, so one
@@ -821,6 +927,24 @@ def test_a_bug_keeps_its_traceback(pipeline_dir, tmp_path, monkeypatch):
     ])
     assert isinstance(result.exception, KeyError), result.output
     assert "error:" not in result.output
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("Unable to allocate 28.4 GiB for an array", "Unable to allocate 28.4 GiB"),
+    ("", "MemoryError"),
+])
+def test_out_of_memory_is_one_error_line(pipeline_dir, tmp_path, monkeypatch, message, expected):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(experiments, "run_fold", exhausted)
+    result = CliRunner().invoke(main, [
+        "train-classifier", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+        "--mels", str(pipeline_dir / "mels.serann"), "--folds", "fixed", "--repeats", "1",
+        "--desk-scale", "--out", str(tmp_path / "r.json"),
+    ])
+    assert_error_line(result, expected)
+    assert not (tmp_path / "r.json").exists()
 
 
 def invalid_run(tmp_path, *args, config=None):

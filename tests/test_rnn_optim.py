@@ -300,7 +300,8 @@ class TestAdamOracle:
         # or 0/0 gives NaN), so skipping rows must not apply there.
         start = oracle_params(dtype)
         tensors = {name: Tensor(p.copy(), requires_grad=True) for name, p in start.items()}
-        adam = Adam(tensors, base, epsilon=epsilon)
+        adam = Adam(tensors, base)
+        adam.state.epsilon = epsilon
         functional, reference = dict(start), dict(start)
         f_state, r_state = AdamState(base, epsilon=epsilon), AdamState(base, epsilon=epsilon)
         for step in range(1, 8):

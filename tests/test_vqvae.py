@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from serann.coremath import (
     no_grad,
     tensor_sum,
 )
-from serann.fileio import JsonlError
+from serann.fileio import JsonlError, write_json
 from serann.synthetic import two_pattern_mels
 from serann.vqvae import (
     GRID_POSITIONS,
@@ -645,8 +646,9 @@ class TestTraining:
         other.codebook_size = 128
         from serann.coremath import CheckpointError
 
+        write_json(f"{path}.config.json", asdict(other))
         with pytest.raises(CheckpointError):
-            VqVae.load(path, other)
+            VqVae.load(path)
 
 
 class TestExtractCodes:
