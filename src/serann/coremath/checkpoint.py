@@ -175,9 +175,12 @@ class Checkpointable:
         model = cls(read_config(cls.config_type, f"{path}.config.json"), _NoDraws())
         blobs = load_checkpoint(path)
         # The blobs were just read and nothing else holds them, so
-        # parameters of the file's dtype take them without a copy.
+        # parameters of the file's dtype take them without a copy. The
+        # model was built from the sidecar, so a mismatch is between the two.
         try:
             _assign(model.params(), blobs, copy=False)
         except CheckpointError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
+            raise CheckpointError(
+                f"{path}: {exc}: the container and its sidecar {path}.config.json disagree"
+            ) from exc
         return model

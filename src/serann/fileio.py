@@ -118,13 +118,21 @@ def write_json(path, document: dict) -> None:
     atomic_write(path, (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+CONFIG_SECTIONS = ("vqvae", "classifier")  # the top-level keys of a ``--config`` file
+
+
 def read_config(config_type, path, section: str | None = None, base=None, **overrides):
     """A ``config_type`` from the JSON object in ``path`` or its ``section``
     (no ``path`` reads as ``{}``) over the fields of ``base`` and under the
     ``overrides`` that are not None; without a ``base`` every field must be
-    set. An unknown, missing or refused field is one JsonlError naming ``path``."""
+    set. An unknown, missing or refused field, and with a ``section`` any
+    top-level key outside ``CONFIG_SECTIONS``, is one JsonlError naming ``path``."""
     values = read_json(path) if path else {}
     if section is not None:
+        unknown = sorted(values.keys() - set(CONFIG_SECTIONS))
+        if unknown:
+            raise JsonlError(f"{path}: {unknown[0]!r} is not a config section "
+                             f"(the sections are {', '.join(map(repr, CONFIG_SECTIONS))})")
         values = values.get(section, {})
         if not isinstance(values, dict):
             raise JsonlError(f"{path}: section {section!r} must be a JSON object")

@@ -51,6 +51,9 @@ def test_training_under_layer_spans_records_the_training_metrics():
     finally:
         rec.uninstall()
     assert classifier_spans["classifier.train_epoch"] == 1
+    # Each forward step runs the model and, inside it, the BiLSTM once.
+    assert classifier_spans["classifier.forward"] >= 1
+    assert classifier_spans["classifier.blstm"] == classifier_spans["classifier.forward"]
     for spans in (classifier_spans, vqvae_spans):
         assert spans["coremath.adam_step"] >= 1 and spans["coremath.backward"] >= 1
 

@@ -601,6 +601,8 @@ class TestMalformedInputs:
                      id="kernel-a-fraction"),
         pytest.param(lambda c: [c], "expected a JSON object, got list", id="a-list"),
         pytest.param(lambda c: {**c, "beta": -1.0}, "beta must be positive", id="refused-beta"),
+        pytest.param(lambda c: {**c, "codebook_size": c["codebook_size"] // 2},
+                     "the container and its sidecar", id="codebook-size-of-another-model"),
     ])
     def test_damaged_sidecar_is_one_error_line(self, pipeline_dir, tmp_path, edit, expected):
         checkpoint = tmp_path / "vq.serann"
@@ -674,6 +676,11 @@ class TestMalformedInputs:
              "--config", "BAD", "--out", "OUT/vq.serann"],
             '{"vqvae": [1]}', "BAD: section 'vqvae' must be a JSON object",
             id="config-section-not-an-object"),
+        pytest.param(
+            ["train-vqvae", "--manifest", "MANIFEST", "--mels", "MELS", "--desk-scale",
+             "--epochs", "1", "--config", "BAD", "--out", "OUT/vq.serann"],
+            '{"vqvea": {"codebook_size": 0}}', "BAD: 'vqvea' is not a config section",
+            id="config-section-misspelt"),
         pytest.param(["report", "--in", "BAD"], "not json\n", "BAD: invalid JSON",
                      id="report-not-json"),
         *(pytest.param(

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import reference_adam_step, reference_mul, tape_nodes
+from conftest import reference_adam_step, reference_bilstm, reference_mul, tape_nodes
 from serann import classifier
 from serann.classifier import ClassifierConfig, EmotionClassifier
 from serann.coremath import (
@@ -43,7 +43,29 @@ def random_params(d, units, rng, requires_grad=True):
     return LstmParams(wx=t((d, 4 * units)), wh=t((units, 4 * units)), b=t((4 * units,)))
 
 
-def reference_bilstm(x, fwd, bwd):
+def bilstm_bits(op, n, t, d, u, dtype, shared=False, strided=False, taped=True):
+    """The output of ``op`` over seeded (N, T, D) inputs and U units and,
+    when ``taped``, the gradients of x and of every parameter (one
+    ``LstmParams`` as both directions when ``shared``) from a seeded output
+    gradient, by name. ``strided`` hands ``op`` a transposed view."""
+    r = np.random.default_rng([n, t, d, u])
+    data = r.normal(0, 1, (n, d, t) if strided else (n, t, d)).astype(dtype)
+    x = Tensor(data.transpose(0, 2, 1) if strided else data, requires_grad=taped)
+    params = [LstmParams(*(Tensor(r.normal(0, 0.4, s).astype(dtype), requires_grad=taped)
+                           for s in ((d, 4 * u), (u, 4 * u), (4 * u,)))) for _ in range(2)]
+    fwd, bwd = (params[0], params[0]) if shared else params
+    out = op(x, fwd, bwd)
+    if not taped:
+        assert out._backprop is None
+        return {"out": out.data}
+    out._backprop(r.normal(0, 1, out.shape).astype(dtype))
+    bits = {"out": out.data, "x": x.grad}
+    for direction, p in zip(("fw", "bw"), params[: 1 if shared else 2]):
+        bits.update({f"{direction}.{name}": getattr(p, name).grad for name in ("wx", "wh", "b")})
+    return bits
+
+
+def per_timestep_bilstm(x, fwd, bwd):
     """Per-timestep bidirectional LSTM in plain numpy over (N, T, D)."""
 
     def sigmoid(v):
@@ -99,11 +121,42 @@ class TestBiLstm:
 
     def test_matches_per_timestep_reference(self, rng):
         fwd = random_params(5, 4, rng, requires_grad=False)
-        bwd = random_params(5, 3, rng, requires_grad=False)
+        bwd = random_params(5, 4, rng, requires_grad=False)
         x = rng.normal(0, 1, (3, 7, 5), np.float64)
         out = bilstm(Tensor(x), fwd, bwd)
-        assert out.shape == (3, 7, 7)
-        np.testing.assert_allclose(out.data, reference_bilstm(x, fwd, bwd), rtol=0, atol=1e-12)
+        assert out.shape == (3, 7, 8)
+        np.testing.assert_allclose(out.data, per_timestep_bilstm(x, fwd, bwd), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("t", [1, 2, 64])
+    def test_bitwise_equal_to_one_direction_at_a_time(self, dtype, n, t):
+        got, want = (bilstm_bits(op, n, t, 7, 3, dtype) for op in (bilstm, reference_bilstm))
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["desk-shape", "shared", "strided", "no-tape"])
+    def test_bitwise_equal_to_one_direction_at_a_time_for(self, dtype, case):
+        n, t, d, u = (16, 64, 160, 8) if case == "desk-shape" else (5, 9, 6, 4)
+        got, want = (bilstm_bits(op, n, t, d, u, dtype, shared=case == "shared",
+                                 strided=case == "strided", taped=case != "no-tape")
+                     for op in (bilstm, reference_bilstm))
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("direction, field, shape, expected", [
+        ("forward", "wh", (4, 15), "forward wh shape (4, 15) must be (U, 4U)"),
+        ("backward", "wh", (16,), "backward wh shape (16,) must be (U, 4U)"),
+        ("backward", "wh", (3, 12), "backward wh shape (3, 12) must be (4, 16): both directions"),
+        ("forward", "b", (4,), "forward b shape (4,) must be (16,)"),
+        ("backward", "b", (1, 16), "backward b shape (1, 16) must be (16,)"),
+        ("backward", "wx", (3, 16), "backward wx shape (3, 16) must be (5, 16)"),
+    ])
+    def test_misshapen_parameter_is_named(self, direction, field, shape, expected):
+        params = {"forward": zero_params(5, 4), "backward": zero_params(5, 4)}
+        setattr(params[direction], field, Tensor(np.zeros(shape)))
+        with pytest.raises(ShapeError) as caught:
+            bilstm(Tensor(np.zeros((2, 3, 5))), params["forward"], params["backward"])
+        assert expected in str(caught.value)
 
     def test_strided_input_keeps_the_bits(self, rng):
         # The classifier hands bilstm a transposed view; the op copies it
