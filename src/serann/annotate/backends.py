@@ -4,20 +4,20 @@ backoff, plus deterministic mock policies for offline runs and tests.
 The wire protocol is a JSON POST of {model, temperature, messages} with
 system and user messages; the reply is read from the first choice's message
 content. The API key comes from the environment variable named in the
-config and is never logged.
+config and is never logged. ``requests`` is imported on the first HTTP
+request, so a mock or cache-only run never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
-
-import requests
 
 from ..corpus import LABELS, UtteranceRecord
 from ..synthetic import KEYWORD_LEXICON
@@ -66,12 +66,16 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be a positive finite number, got {self.timeout_s}")
 
 
 Transport = Callable[[str, dict, Mapping[str, str], float], tuple[int, str]]
 
 
 def _requests_transport(url: str, payload: dict, headers: Mapping[str, str], timeout: float):
+    import requests
+
     try:
         response = requests.post(url, json=payload, headers=dict(headers), timeout=timeout)
     except requests.Timeout as exc:

@@ -283,7 +283,7 @@ def _records_with_labels(manifest_path, labels_source, annotations_path):
 @click.option("--folds", type=click.Choice(["loso", "cross", "fixed"]), default="loso", show_default=True)
 @click.option("--eval-manifest", type=click.Path(exists=True), help="Held-out corpus for cross-corpus runs.")
 @click.option("--eval-mels", type=click.Path(exists=True))
-@click.option("--repeats", default=10, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True, help="Base seed; repeat r uses seed + r.")
 @click.option("--out", "report_out", required=True, type=click.Path())
 @click.option("--artifacts-dir", type=click.Path(),
@@ -323,7 +323,7 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
 @click.option("--extra-manifest", required=True, type=click.Path(exists=True))
 @click.option("--extra-mels", required=True, type=click.Path(exists=True))
 @click.option("--extra-annotations", required=True, type=click.Path(exists=True))
-@click.option("--repeats", default=10, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "report_out", required=True, type=click.Path())
 @click.option("--desk-scale", is_flag=True)

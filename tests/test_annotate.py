@@ -1,7 +1,9 @@
 import json
+import math
 import re
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from serann.annotate import (
     AnnotationRunError,
     AuthenticationError,
     BackendConfig,
+    BackendError,
     ChatCompletionBackend,
     CompletionRequest,
     ContextVariant,
@@ -29,6 +32,7 @@ from serann.annotate import (
     select_few_shot,
     write_annotations,
 )
+from serann.annotate.backends import _requests_transport
 from serann.corpus import LABELS, UNPARSEABLE, UtteranceRecord
 from serann.coremath.rng import Rng
 from serann.dsp import UtteranceFeatures
@@ -383,6 +387,60 @@ class TestHttpBackend:
         backend.complete(CompletionRequest("s", "u1"))
         backend.complete(CompletionRequest("s", "u2"))
         assert sleeps and abs(sleeps[0] - 1.0) < 1e-9  # 60 rpm -> 1 s spacing
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+    def test_config_refuses_a_timeout_that_is_not_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout_s must be a positive finite number"):
+            BackendConfig(endpoint="https://x/y", model="m", timeout_s=timeout)
+
+
+@pytest.fixture
+def stub_requests(monkeypatch):
+    """A ``requests`` stand-in whose ``post`` records its call and returns or
+    raises ``stub.outcome``."""
+    stub = types.ModuleType("requests")
+
+    class RequestException(OSError):
+        pass
+
+    class Timeout(RequestException):
+        pass
+
+    def post(url, **kwargs):
+        stub.calls.append((url, kwargs))
+        if isinstance(stub.outcome, Exception):
+            raise stub.outcome
+        return stub.outcome
+
+    stub.RequestException, stub.Timeout, stub.post, stub.calls = RequestException, Timeout, post, []
+    monkeypatch.setitem(sys.modules, "requests", stub)
+    return stub
+
+
+class TestRequestsTransport:
+    def test_returns_status_and_text(self, stub_requests):
+        stub_requests.outcome = types.SimpleNamespace(status_code=503, text="busy")
+        assert _requests_transport("https://x/y", {"a": 1}, {"H": "v"}, 5.0) == (503, "busy")
+        assert stub_requests.calls == [
+            ("https://x/y", {"json": {"a": 1}, "headers": {"H": "v"}, "timeout": 5.0})]
+
+    def test_timeout_is_a_request_timeout_error(self, stub_requests):
+        stub_requests.outcome = stub_requests.Timeout("read timed out")
+        with pytest.raises(RequestTimeoutError, match="timed out after 5.0s"):
+            _requests_transport("https://x/y", {}, {}, 5.0)
+
+    def test_other_request_failure_is_a_backend_error(self, stub_requests):
+        stub_requests.outcome = stub_requests.RequestException("connection refused")
+        with pytest.raises(BackendError, match="failed: connection refused") as raised:
+            _requests_transport("https://x/y", {}, {}, 5.0)
+        assert not isinstance(raised.value, RequestTimeoutError)
+
+    def test_is_the_http_backend_default(self, stub_requests):
+        stub_requests.outcome = types.SimpleNamespace(status_code=200, text=ok_body("sad")[1])
+        config = BackendConfig(endpoint="https://x/y", model="m", timeout_s=7.5)
+        assert ChatCompletionBackend(config).complete(CompletionRequest("s", "u")) == "sad"
+        (url, kwargs), = stub_requests.calls
+        assert url == "https://x/y" and kwargs["timeout"] == 7.5
 
 
 class TestMockBackends:

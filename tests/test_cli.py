@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -245,6 +248,22 @@ class TestFailures:
         ])
         assert result.exit_code == 2, result.output
         assert "--epochs" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("train-classifier", ("--manifest", "corpus/manifest.jsonl", "--mels", "mels.serann")),
+        ("augment-eval", ("--base-manifest", "corpus/manifest.jsonl", "--base-mels", "mels.serann",
+                          "--extra-manifest", "corpus/manifest.jsonl", "--extra-mels", "mels.serann",
+                          "--extra-annotations", "annotations.jsonl")),
+    ])
+    def test_training_commands_reject_zero_repeats(self, pipeline_dir, tmp_path, command, inputs):
+        paths = [str(pipeline_dir / arg) if not arg.startswith("--") else arg for arg in inputs]
+        result = CliRunner().invoke(main, [
+            command, *paths, "--repeats", "0", "--desk-scale", "--out", str(tmp_path / "r.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "'--repeats'" in result.output
         assert "Traceback" not in result.output
         assert list(tmp_path.iterdir()) == []
 
@@ -1012,6 +1031,8 @@ class TestInvalidNumbers:
     @pytest.mark.parametrize("flag, message", [
         (("--rpm", "0"), "requests_per_minute must be positive"),
         (("--max-retries", "-1"), "max_retries must be >= 0"),
+        (("--timeout", "0"), "timeout_s must be a positive finite number, got 0.0"),
+        (("--timeout", "nan"), "timeout_s must be a positive finite number, got nan"),
     ])
     def test_annotate_http_settings(self, pipeline_dir, tmp_path, flag, message):
         result, written = invalid_run(
@@ -1020,3 +1041,16 @@ class TestInvalidNumbers:
             *flag, "--out", "OUT/a.jsonl",
         )
         self.assert_rejected(result, written, f"invalid http backend settings: {message}")
+
+
+def test_importing_the_cli_loads_no_http_or_schema_package():
+    """``requests`` loads on the first HTTP request and ``jsonschema`` only in
+    the tests; importing the CLI, which imports every serann module, loads neither."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, serann.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('requests', 'urllib3', 'jsonschema')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
