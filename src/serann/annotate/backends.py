@@ -68,6 +68,8 @@ class BackendConfig:
             raise ValueError("requests_per_minute must be positive")
         if not 0 < self.timeout_s < math.inf:
             raise ValueError(f"timeout_s must be a positive finite number, got {self.timeout_s}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be a finite number, got {self.temperature}")
 
 
 Transport = Callable[[str, dict, Mapping[str, str], float], tuple[int, str]]

@@ -39,6 +39,14 @@ def _model_config(config_type, section: str, desk_scale: bool, config_path, **ov
     return read_config(config_type, config_path, section, base, **overrides)
 
 
+def _load_manifest(path) -> list:
+    """The manifest's records; a manifest with none is refused, naming the file."""
+    records = load_manifest(path)
+    if not records:
+        _fail(f"{path}: manifest has no records")
+    return records
+
+
 def _load_mels_for(records, *mels_paths) -> dict:
     """The merged mel caches, later ones winning; each record must have a mel."""
     mels_by_id = {}
@@ -74,9 +82,9 @@ def main():
 
 @main.command("synth-corpus")
 @click.option("--out", required=True, type=click.Path(), help="Output corpus directory.")
-@click.option("--speakers", default=10, show_default=True)
-@click.option("--per-speaker", default=8, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--speakers", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--per-speaker", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_synth_corpus(out, speakers, per_speaker, seed):
     """Generate the synthetic tone corpus used for offline runs and tests."""
     manifest = synthetic.build_synthetic_corpus(out, speakers, per_speaker, seed)
@@ -89,7 +97,7 @@ def cmd_synth_corpus(out, speakers, per_speaker, seed):
 @click.option("--mels-out", required=True, type=click.Path(), help="Mel cache container.")
 def cmd_features(manifest_path, features_out, mels_out):
     """Extract mel spectrograms plus average energy and pitch per record."""
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     mels, feats, failures = {}, {}, []
     for record in records:
         wav = resolve_audio_path(manifest_path, record)
@@ -113,14 +121,14 @@ def cmd_features(manifest_path, features_out, mels_out):
 @click.option("--mels", "mels_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "checkpoint_out", required=True, type=click.Path())
 @click.option("--history-out", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=None,
               help="Override configured epoch count.")
 @click.option("--desk-scale", is_flag=True, help="Use the CI-sized model profile.")
 @click.option("--config", "config_path", type=click.Path(exists=True))
 def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed, epochs, desk_scale, config_path):
     """Train the speech-code autoencoder on cached mels."""
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     mels_by_id = _load_mels_for(records, mels_path)
     config = _model_config(VqVaeConfig, "vqvae", desk_scale, config_path)
     if history_out is None:
@@ -141,7 +149,7 @@ def cmd_train_vqvae(manifest_path, mels_path, checkpoint_out, history_out, seed,
 @click.option("--out", "codes_out", required=True, type=click.Path())
 def cmd_encode(manifest_path, mels_path, checkpoint_path, codes_out):
     """Extract the discrete code sequence for every record."""
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     mels_by_id = _load_mels_for(records, mels_path)
     model = VqVae.load(checkpoint_path)
     codes = vqvae.extract_codes(
@@ -188,11 +196,11 @@ def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout
 @click.option("--few-shot-features", type=click.Path(exists=True))
 @click.option("--few-shot-codes", type=click.Path(exists=True))
 @click.option("--balanced-few-shot", is_flag=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "annotations_out", required=True, type=click.Path())
 @click.option("--cache", "cache_path", type=click.Path(), help="Defaults to <out>.cache.jsonl")
 @click.option("--failure-budget", default=0, show_default=True)
-@click.option("--concurrency", default=1, show_default=True,
+@click.option("--concurrency", type=click.IntRange(min=1), default=1, show_default=True,
               help="Distinct prompts asked in parallel. A run asks the backend once per "
                    "distinct prompt whatever this is, and reports the same cache hits.")
 @click.option("--endpoint", help="Chat-completion URL for the http backend.")
@@ -208,7 +216,7 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
                  endpoint, model_name, api_key_env, rpm, timeout, max_retries, temperature):
     """Label every record through the configured backend, with caching."""
     ctx_variant = ann.ContextVariant.parse(variant)
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     features_by_id = dsp.load_features(features_path) if features_path else {}
     codes_by_id = vqvae.load_codes(codes_path) if codes_path else {}
     if ctx_variant.needs_features and not features_path:
@@ -216,7 +224,7 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
     if ctx_variant.needs_codes and not codes_path:
         _fail(f"variant {ctx_variant.value} requires --codes")
 
-    pool = load_manifest(few_shot_manifest) if few_shot_manifest else records
+    pool = _load_manifest(few_shot_manifest) if few_shot_manifest else records
     if few_shot_features:
         features_by_id = {**dsp.load_features(few_shot_features), **features_by_id}
     if few_shot_codes:
@@ -261,7 +269,7 @@ def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, cod
 
 
 def _records_with_labels(manifest_path, labels_source, annotations_path):
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     if labels_source == "llm":
         if not annotations_path:
             _fail("--labels-source llm requires --annotations")
@@ -284,7 +292,8 @@ def _records_with_labels(manifest_path, labels_source, annotations_path):
 @click.option("--eval-manifest", type=click.Path(exists=True), help="Held-out corpus for cross-corpus runs.")
 @click.option("--eval-mels", type=click.Path(exists=True))
 @click.option("--repeats", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True, help="Base seed; repeat r uses seed + r.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Base seed; repeat r uses seed + r.")
 @click.option("--out", "report_out", required=True, type=click.Path())
 @click.option("--artifacts-dir", type=click.Path(),
               help="Directory for per-fold checkpoints and histories; defaults to <out>.artifacts")
@@ -304,7 +313,7 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
     if folds == "cross":
         if not eval_manifest or not eval_mels:
             _fail("cross-corpus runs require --eval-manifest and --eval-mels")
-        eval_records = load_manifest(eval_manifest)
+        eval_records = _load_manifest(eval_manifest)
         mels_by_id = _load_mels_for([*records, *eval_records], mels_path, eval_mels)
         report = experiments.run_cross_corpus(records, eval_records, mels_by_id, labels_source,
                                               config, seeds, artifacts_dir=artifacts_dir)
@@ -324,7 +333,7 @@ def cmd_train_classifier(manifest_path, mels_path, labels_source, annotations_pa
 @click.option("--extra-mels", required=True, type=click.Path(exists=True))
 @click.option("--extra-annotations", required=True, type=click.Path(exists=True))
 @click.option("--repeats", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "report_out", required=True, type=click.Path())
 @click.option("--desk-scale", is_flag=True)
 @click.option("--max-epochs", type=int, default=None)
@@ -334,9 +343,9 @@ def cmd_augment_eval(base_manifest, base_mels, extra_manifest, extra_mels, extra
     """Compare training on the base corpus alone vs adding machine-labeled extras."""
     config = _model_config(ClassifierConfig, "classifier", desk_scale, config_path,
                            max_epochs=max_epochs)
-    base_records = load_manifest(base_manifest)
+    base_records = _load_manifest(base_manifest)
     extra_records = ann.apply_annotations(
-        load_manifest(extra_manifest), ann.load_annotations(extra_annotations)
+        _load_manifest(extra_manifest), ann.load_annotations(extra_annotations)
     )
     unannotated = sum(r.llm_label is None for r in extra_records)
     if unannotated:

@@ -21,6 +21,7 @@ from .optim import Adam, AdamState, NonFiniteGradientError, NonFiniteLossError, 
 from .rng import Rng
 from .rnn import EmptySequenceError, LstmParams, bilstm
 from .tensor import (
+    ConsumedGraphError,
     ShapeError,
     Tensor,
     add,
@@ -36,6 +37,7 @@ __all__ = [
     "BiLstm",
     "CheckpointError",
     "CheckpointVersionError",
+    "ConsumedGraphError",
     "Conv2d",
     "ConvTranspose2d",
     "Dense",

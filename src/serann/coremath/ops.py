@@ -33,7 +33,9 @@ its GEMM or its scatter reads them (after Cho & Brand, "MEC", arXiv
   applies the bias and ReLU there; it allocates no whole-batch padded copy
   or column matrix. A call that records a tape node takes the whole batch
   as one chunk and keeps its columns, because the kernel gradient is one
-  GEMM over all of them;
+  GEMM over all of them. Its adjoint lets go of the columns as soon as that
+  GEMM has run, before it allocates the padded input gradient, so the two
+  are never alive together;
 - ``_scatter_products`` forms the products that go back onto an image (the
   input gradient and the transpose's forward) into a reused chunk buffer
   and scatter-adds them.
@@ -232,11 +234,13 @@ def conv2d(
         return Tensor(out_data)
 
     def backprop(g):
+        nonlocal cols
         g2 = _epilogue_grad(g, out_data, bias, activation).reshape(n, f, oh * ow)
         if kernels.requires_grad:
             kernels.accumulate_grad(_kernel_grad(g2, cols).reshape(kernels.shape))
+        cols = None
         if x.requires_grad:
-            dxp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+            dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
             _scatter_products(k2, g2, dxp, kh, kw, sh, sw, oh, ow)
             x.accumulate_grad(dxp[:, :, pt : pt + h, pl : pl + w])
 
@@ -299,7 +303,9 @@ def conv2d_transpose(
         g = _epilogue_grad(g, out_data, bias, activation)
         gbuf = np.zeros((n, c, bh, bw), dtype=g.dtype)
         gbuf[:, :, pt : bh - pb, pl : bw - pr] = g
-        gcols = _gather(gbuf, kh, kw, sh, sw, h, w, np.empty(n * c * kh * kw * h * w, g.dtype))
+        del g  # the gradient past the ReLU, freed before the columns are allocated
+        gcols = _gather(gbuf, kh, kw, sh, sw, h, w, np.empty(n * c * kh * kw * h * w, gbuf.dtype))
+        del gbuf
         if x.requires_grad:
             x.accumulate_grad(_per_sample(k2, gcols, n).reshape(n, f, h, w))
         if kernels.requires_grad:

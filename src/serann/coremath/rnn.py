@@ -16,6 +16,10 @@ through time runs as one loop over the same stacks. The weight and input
 gradients come from per-direction GEMMs over (N * T, ...) rows. Every
 element goes through the operations of a one-direction-at-a-time recurrence
 in the same order, so outputs and gradients keep their bits.
+
+The adjoint frees what it saved as it finishes with it: the gate, cell and
+tanh stacks once the time loop is done, before the weight GEMMs, and the
+hidden states before the input gradient is formed.
 """
 
 from __future__ import annotations
@@ -148,7 +152,10 @@ class _Recurrence:
             dz_rows, dz_blocks = dz_steps[k]
             np.copyto(dz_blocks, dz)
             np.matmul(dz_rows, wh_t, out=dh)
-        del g_steps, dh, dc, tmp, dh_o, dz, one_minus  # the loop's work buffers, before the GEMMs
+        # The loop's work buffers and its views of the stacks that only it
+        # reads, then those stacks, all freed before the GEMMs.
+        del g_steps, dh, dc, tmp, dh_o, dz, one_minus, a, i, f, gg, o, tc
+        self.gates = self.c = self.tanh_c = None
         dz2 = dz_all.reshape(2, n * t, 4 * u)
         # Each direction's state before its step at each time, in (N, T) row order.
         h_prev = (self.h[:t, 0], self.h[t - 1 :: -1, 1])
@@ -195,7 +202,9 @@ def bilstm(x: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
         return Tensor(out)
 
     def backprop(g):
+        nonlocal rec
         dz_fwd, dz_bwd = rec.backprop(g, rows())
+        rec = None  # the hidden states, freed before the input gradient is formed
         if x.requires_grad:
             dx = dz_fwd @ forward.wx.data.T + dz_bwd @ backward.wx.data.T
             x.accumulate_grad(dx.reshape(n, t, d))

@@ -2,9 +2,16 @@
 
 Every operation returns a new Tensor that remembers its parent tensors and a
 closure that scatters the output gradient back onto them. ``Tensor.backward``
-walks the recorded tape once, in reverse topological order. Gradients are
-accumulated on every node that requires them, intermediates included, so
-training code and tests can inspect any point of the graph.
+walks the recorded tape once, in reverse topological order, and consumes it
+as it goes: once a node's closure has run, the node lets go of the closure
+and of its parents, so nothing in the sweep still holds a node it has
+passed. An intermediate the caller does not hold is freed mid-sweep, with
+its data, its gradient and the arrays its closure saved; a tensor the
+caller holds keeps its ``.grad``. A consumed node cannot be swept again: a
+second ``backward`` from the same root, or from another root whose graph
+reaches a consumed node, raises ``ConsumedGraphError`` before any gradient
+moves (after Chen et al., "Training Deep Nets with Sublinear Memory Cost",
+arXiv 1604.06174, which frees each value once its last use has run).
 
 The primitives here are the few that glue layers together: ``add`` of two
 tensors of one shape (the VQ-VAE's loss terms), reshape and transpose, plus
@@ -12,7 +19,7 @@ the sum of every element, which the benchmark's op timings differentiate.
 Every layer is one tape node with a hand-written adjoint of its own
 (``ops``, ``rnn`` and the classifier's attention pooling).
 
-Graphs are built per step and discarded after ``backward``; parameters are
+Graphs are built per step and consumed by ``backward``; parameters are
 long-lived leaves whose ``data`` the optimizer updates in place between
 steps. Inside a ``no_grad()`` scope no tape is recorded at all, for inference.
 """
@@ -28,6 +35,16 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible; the message names the offending axes."""
+
+
+class ConsumedGraphError(RuntimeError):
+    """A backward sweep reached a tape node that an earlier sweep consumed."""
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The closure a node keeps once a sweep has run its own: the mark of a
+    consumed node."""
+    raise ConsumedGraphError("this tape node was consumed by an earlier backward")
 
 
 def _as_array(data) -> np.ndarray:
@@ -88,16 +105,26 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output that consumes the tape
+        behind it (see the module docstring)."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar output, got shape {self.shape}"
             )
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backprop is not None and node.grad is not None:
-                node._backprop(node.grad)
+        while order:
+            order.pop()._consume()
+
+    def _consume(self) -> None:
+        # A method, so that its frame is the sweep's only hold on the node
+        # and on its closure, and both go when it returns.
+        backprop = self._backprop
+        if backprop is None:
+            return
+        self._backprop, self._parents = _consumed, ()
+        if self.grad is not None:
+            backprop(self.grad)
 
     def __add__(self, other):
         return add(self, other)
@@ -116,6 +143,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._backprop is _consumed:
+            raise ConsumedGraphError(
+                f"backward reached {node!r}, a tape node that an earlier backward "
+                "consumed; build the graph again to differentiate it again"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:

@@ -616,6 +616,39 @@ def reference_run_augment_eval(
     }
 
 
+def _reference_topo_order(root):
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def reference_backward(root):
+    """``Tensor.backward`` as it was before the sweep consumed the tape: every
+    node keeps its closure, its parents and the arrays the closure saved
+    until the caller drops the graph. The bitwise oracle for the consuming
+    sweep, which must run every closure in the same order."""
+    if root.data.size != 1:
+        raise ShapeError(f"backward requires a scalar output, got shape {root.shape}")
+    order = _reference_topo_order(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backprop is not None and node.grad is not None:
+            node._backprop(node.grad)
+
+
 def tape_nodes(root):
     """Number of tensors reachable from ``root`` through recorded parents,
     ``root`` and the leaves included."""

@@ -393,6 +393,11 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match="timeout_s must be a positive finite number"):
             BackendConfig(endpoint="https://x/y", model="m", timeout_s=timeout)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_a_temperature_that_is_not_finite(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be a finite number"):
+            BackendConfig(endpoint="https://x/y", model="m", temperature=temperature)
+
 
 @pytest.fixture
 def stub_requests(monkeypatch):

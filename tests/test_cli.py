@@ -1042,6 +1042,106 @@ class TestInvalidNumbers:
         )
         self.assert_rejected(result, written, f"invalid http backend settings: {message}")
 
+    def test_annotate_nan_temperature_sends_no_request(self, pipeline_dir, tmp_path, monkeypatch):
+        sent = []
+        monkeypatch.setattr(annotate.backends, "_requests_transport",
+                            lambda *args: sent.append(args) or (200, "{}"))
+        result, written = invalid_run(
+            tmp_path, "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--backend", "http", "--endpoint", "https://llm.example/v1/chat", "--model", "m",
+            "--temperature", "nan", "--out", "OUT/a.jsonl",
+        )
+        message = "invalid http backend settings: temperature must be a finite number, got nan"
+        self.assert_rejected(result, written, message)
+        assert [line for line in result.output.splitlines() if line.strip()] == [f"error: {message}"]
+        assert sent == []
+
+
+class TestOptionRanges:
+    """A count, seed or concurrency below its range is a usage error (exit 2)
+    that names the option, before anything is written."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--speakers", "0"), ("--per-speaker", "0"), ("--per-speaker", "-4"), ("--seed", "-1"),
+    ])
+    def test_synth_corpus(self, tmp_path, option, value):
+        result = CliRunner().invoke(main, ["synth-corpus", "--out", str(tmp_path / "corpus"),
+                                           option, value])
+        self.assert_usage_error(result, option)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("train-vqvae", "--seed", "-1"),
+        ("annotate", "--seed", "-1"),
+        ("annotate", "--concurrency", "0"),
+        ("annotate", "--concurrency", "-2"),
+        ("train-classifier", "--seed", "-5"),
+        ("augment-eval", "--seed", "-1"),
+    ])
+    def test_pipeline_commands(self, pipeline_dir, tmp_path, command, option, value):
+        manifest = str(pipeline_dir / "corpus" / "manifest.jsonl")
+        mels = str(pipeline_dir / "mels.serann")
+        inputs = {
+            "train-vqvae": ["--manifest", manifest, "--mels", mels, "--desk-scale", "--epochs", "1"],
+            "annotate": ["--manifest", manifest],
+            "train-classifier": ["--manifest", manifest, "--mels", mels, "--folds", "fixed",
+                                 "--repeats", "1", "--desk-scale", "--max-epochs", "1"],
+            "augment-eval": ["--base-manifest", manifest, "--base-mels", mels,
+                             "--extra-manifest", manifest, "--extra-mels", mels,
+                             "--extra-annotations", str(pipeline_dir / "annotations.jsonl"),
+                             "--repeats", "1", "--desk-scale", "--max-epochs", "1"],
+        }[command]
+        result = CliRunner().invoke(main, [command, *inputs, option, value,
+                                           "--out", str(tmp_path / "out.json")])
+        self.assert_usage_error(result, option)
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def assert_usage_error(result, option):
+        assert result.exit_code == 2, result.output
+        assert f"'{option}'" in result.output and "is not in the range" in result.output
+        assert "Traceback" not in result.output
+
+
+class TestEmptyManifest:
+    @pytest.mark.parametrize("command", [
+        "features", "train-vqvae", "encode", "annotate", "annotate-few-shot", "train-classifier",
+        "augment-eval",
+    ])
+    def test_each_stage_refuses_it_naming_the_file(self, pipeline_dir, tmp_path, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        manifest = str(pipeline_dir / "corpus" / "manifest.jsonl")
+        mels = str(pipeline_dir / "mels.serann")
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {
+            "features": ["--manifest", str(empty), "--out", f"{out}/f.jsonl",
+                         "--mels-out", f"{out}/m.serann"],
+            "train-vqvae": ["--manifest", str(empty), "--mels", mels, "--out", f"{out}/vq.serann",
+                            "--desk-scale", "--epochs", "1"],
+            "encode": ["--manifest", str(empty), "--mels", mels,
+                       "--checkpoint", str(pipeline_dir / "vq.serann"), "--out", f"{out}/c.jsonl"],
+            "annotate": ["--manifest", str(empty), "--out", f"{out}/a.jsonl"],
+            "annotate-few-shot": ["--manifest", manifest, "--shots", "few",
+                                  "--few-shot-manifest", str(empty), "--out", f"{out}/a.jsonl"],
+            "train-classifier": ["--manifest", str(empty), "--mels", mels, "--folds", "fixed",
+                                 "--repeats", "1", "--desk-scale", "--out", f"{out}/r.json"],
+            "augment-eval": ["--base-manifest", manifest, "--base-mels", mels,
+                             "--extra-manifest", str(empty), "--extra-mels", mels,
+                             "--extra-annotations", str(pipeline_dir / "annotations.jsonl"),
+                             "--repeats", "1", "--desk-scale", "--out", f"{out}/r.json"],
+        }[command]
+        result = CliRunner().invoke(main, [command.removesuffix("-few-shot"), *args])
+        assert_error_line(result, f"{empty}: manifest has no records")
+        assert list(out.iterdir()) == []
+
+    def test_synth_corpus_cannot_write_one(self, tmp_path):
+        result = CliRunner().invoke(main, ["synth-corpus", "--out", str(tmp_path / "corpus"),
+                                           "--speakers", "0", "--per-speaker", "0"])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "corpus").exists()
+
 
 def test_importing_the_cli_loads_no_http_or_schema_package():
     """``requests`` loads on the first HTTP request and ``jsonschema`` only in
