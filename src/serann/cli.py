@@ -15,6 +15,7 @@ defaults. The effective configuration is echoed (hashed) into every report.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -57,6 +58,23 @@ def _load_mels_for(records, *mels_paths) -> dict:
         caches = ", ".join(map(str, mels_paths))
         _fail(f"{caches}: mel cache is missing {len(missing)} records (first: {missing[0]!r})")
     return mels_by_id
+
+
+class _FiniteFloat(click.ParamType):
+    """A finite float, above zero if ``positive``; anything else is a usage
+    error naming the option (``click.FloatRange`` lets NaN through)."""
+
+    name = "float"
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number) or (self.positive and number <= 0):
+            self.fail(f"{value!r} is not a {'positive ' if self.positive else ''}finite number",
+                      param, ctx)
+        return number
 
 
 class _Pipeline(click.Group):
@@ -199,17 +217,17 @@ def _build_backend(backend_spec, endpoint, model_name, api_key_env, rpm, timeout
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "annotations_out", required=True, type=click.Path())
 @click.option("--cache", "cache_path", type=click.Path(), help="Defaults to <out>.cache.jsonl")
-@click.option("--failure-budget", default=0, show_default=True)
+@click.option("--failure-budget", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--concurrency", type=click.IntRange(min=1), default=1, show_default=True,
               help="Distinct prompts asked in parallel. A run asks the backend once per "
                    "distinct prompt whatever this is, and reports the same cache hits.")
 @click.option("--endpoint", help="Chat-completion URL for the http backend.")
 @click.option("--model", "model_name", help="Model name for the http backend.")
 @click.option("--api-key-env", default="SERANN_API_KEY", show_default=True)
-@click.option("--rpm", default=60, show_default=True)
-@click.option("--timeout", default=30.0, show_default=True)
-@click.option("--max-retries", default=3, show_default=True)
-@click.option("--temperature", default=0.0, show_default=True)
+@click.option("--rpm", type=click.IntRange(min=1), default=60, show_default=True)
+@click.option("--timeout", type=_FiniteFloat(positive=True), default=30.0, show_default=True)
+@click.option("--max-retries", type=click.IntRange(min=0), default=3, show_default=True)
+@click.option("--temperature", type=_FiniteFloat(), default=0.0, show_default=True)
 def cmd_annotate(manifest_path, variant, shots, backend_spec, features_path, codes_path,
                  few_shot_manifest, few_shot_features, few_shot_codes, balanced_few_shot,
                  seed, annotations_out, cache_path, failure_budget, concurrency,

@@ -48,6 +48,7 @@ class Conv2d:
         rng: Rng,
         activation: str | None = "relu",
         dtype=np.float32,
+        keep_columns: bool = True,
     ):
         self.kernels, self.bias = _weights_and_bias(
             (out_channels, in_channels, kernel, kernel), in_channels * kernel * kernel,
@@ -56,9 +57,13 @@ class Conv2d:
         self.stride = stride
         self.padding = padding
         self.activation = activation
+        self.keep_columns = keep_columns
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernels, self.stride, self.padding, self.bias, self.activation)
+        return conv2d(
+            x, self.kernels, self.stride, self.padding, self.bias, self.activation,
+            self.keep_columns,
+        )
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}

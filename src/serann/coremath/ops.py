@@ -31,11 +31,19 @@ its GEMM or its scatter reads them (after Cho & Brand, "MEC", arXiv
 - ``conv2d`` pads each chunk into a reused zero-bordered buffer, gathers it
   into a reused column buffer, multiplies it straight into the output and
   applies the bias and ReLU there; it allocates no whole-batch padded copy
-  or column matrix. A call that records a tape node takes the whole batch
-  as one chunk and keeps its columns, because the kernel gradient is one
-  GEMM over all of them. Its adjoint lets go of the columns as soon as that
-  GEMM has run, before it allocates the padded input gradient, so the two
-  are never alive together;
+  or column matrix. The kernel gradient is one GEMM over the whole batch's
+  columns. A taped call with ``keep_columns=True`` (the default) whose
+  kernels take a gradient therefore takes the whole batch as one chunk and
+  keeps its columns for its adjoint. With ``keep_columns=False`` it streams
+  as above, and its adjoint gathers the columns again, a chunk of samples at
+  a time through one reused padded buffer, into the whole-batch matrix: the
+  recompute-for-memory trade of Chen et al. (arXiv 1604.06174), for a
+  caller whose columns would stay alive across a long stretch of the tape,
+  such as the VQ-VAE encoder's across the whole decoder. A call whose
+  kernels take no gradient streams and gathers nothing in its adjoint.
+  Either way the adjoint lets go of the columns as soon as the GEMM has
+  run, before it allocates the padded input gradient, so the two are never
+  alive together;
 - ``_scatter_products`` forms the products that go back onto an image (the
   input gradient and the transpose's forward) into a reused chunk buffer
   and scatter-adds them.
@@ -134,16 +142,33 @@ def _chunk(ckk: int, positions: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (ckk * positions))
 
 
+def _windows(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+    """Windows of ``xp`` (N, C, Hp, Wp) as a (C, kh, kw, N, OH, OW) view."""
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, : sh * (oh - 1) + 1 : sh, : sw * (ow - 1) + 1 : sw]
+    return windows.transpose(1, 4, 5, 0, 2, 3)
+
+
 def _gather(xp: np.ndarray, kh, kw, sh, sw, oh, ow, out: np.ndarray) -> np.ndarray:
     """Windows of ``xp`` (N, C, Hp, Wp) as a contiguous (C*kh*kw, N*OH*OW)
     matrix, laid out (C, kh, kw, N, OH, OW), written to the front of the
     flat buffer ``out``."""
     n, c = xp.shape[:2]
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, : sh * (oh - 1) + 1 : sh, : sw * (ow - 1) + 1 : sw]
     cols = out[: n * c * kh * kw * oh * ow].reshape(c, kh, kw, n, oh, ow)
-    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+    np.copyto(cols, _windows(xp, kh, kw, sh, sw, oh, ow))
     return cols.reshape(c * kh * kw, n * oh * ow)
+
+
+def _padded_chunks(x: np.ndarray, step: int, pt, pl, hp, wp):
+    """Yields (start, chunk) over ``x`` (N, C, H, W), ``step`` samples at a
+    time, each chunk copied into one reused zero-bordered (step, C, Hp, Wp)
+    buffer at offset (pt, pl)."""
+    n, c, h, w = x.shape
+    xp = np.zeros((min(step, n), c, hp, wp), x.dtype)
+    for start in range(0, n, step):
+        part = xp[: min(step, n - start)]
+        part[:, :, pt : pt + h, pl : pl + w] = x[start : start + step]
+        yield start, part
 
 
 def _per_sample(
@@ -188,10 +213,13 @@ def conv_output_size(size: int, kernel: int, stride: int, pad_total: int) -> int
 
 def conv2d(
     x: Tensor, kernels: Tensor, stride=(1, 1), padding=0, bias: Tensor | None = None,
-    activation: str | None = None,
+    activation: str | None = None, keep_columns: bool = True,
 ) -> Tensor:
     """Cross-correlation of ``x`` (N,C,H,W) with ``kernels`` (F,C,kh,kw),
-    plus an optional per-channel ``bias`` (F,), then an optional ReLU."""
+    plus an optional per-channel ``bias`` (F,), then an optional ReLU.
+    With ``keep_columns=False`` the adjoint gathers the columns again from
+    ``x`` instead of keeping them from the forward (see the module
+    docstring); the bits are the same."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got {x.ndim}-d")
     if kernels.ndim != 4:
@@ -213,30 +241,37 @@ def conv2d(
         )
     oh = conv_output_size(h, kh, sh, pt + pb)
     ow = conv_output_size(w, kw, sw, pl + pr)
+    ckk = c * kh * kw
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     taped = _needs_grad(*parents)
     # The kernel gradient is one GEMM over the whole column matrix, so a
-    # taped call gathers the batch as one chunk and keeps its columns.
-    step = n if taped else _chunk(c * kh * kw, oh * ow)
-    xp = np.zeros((min(step, n), c, hp, wp), x.dtype)
-    cols_buf = np.empty(len(xp) * c * kh * kw * oh * ow, x.dtype)
-    k2 = kernels.data.reshape(f, c * kh * kw)
-    out_data = np.empty((n, f, oh, ow), np.result_type(k2, xp))
-    for start in range(0, n, step):
-        part = xp[: min(step, n - start)]
-        part[:, :, pt : pt + h, pl : pl + w] = x.data[start : start + step]
+    # call that keeps the columns for it gathers the batch as one chunk.
+    keep = taped and keep_columns and kernels.requires_grad
+    step = n if keep else _chunk(ckk, oh * ow)
+    cols_buf = np.empty(min(step, n) * ckk * oh * ow, x.dtype)
+    k2 = kernels.data.reshape(f, ckk)
+    out_data = np.empty((n, f, oh, ow), np.result_type(k2, x.data))
+    for start, part in _padded_chunks(x.data, step, pt, pl, hp, wp):
         cols = _gather(part, kh, kw, sh, sw, oh, ow, cols_buf)
         out_part = out_data[start : start + step]
         _per_sample(k2, cols, len(part), out_part.reshape(len(part), f, oh * ow))
         _epilogue(out_part, bias, activation)
     if not taped:
         return Tensor(out_data)
+    if not keep:
+        cols = None  # a view of the chunk buffer, which the adjoint does not read
 
     def backprop(g):
         nonlocal cols
         g2 = _epilogue_grad(g, out_data, bias, activation).reshape(n, f, oh * ow)
         if kernels.requires_grad:
+            if cols is None:
+                cols = np.empty((c, kh, kw, n, oh, ow), x.dtype)
+                for start, part in _padded_chunks(x.data, _chunk(ckk, oh * ow), pt, pl, hp, wp):
+                    np.copyto(cols[:, :, :, start : start + len(part)],
+                              _windows(part, kh, kw, sh, sw, oh, ow))
+                cols = cols.reshape(ckk, n * oh * ow)
             kernels.accumulate_grad(_kernel_grad(g2, cols).reshape(kernels.shape))
         cols = None
         if x.requires_grad:

@@ -16,10 +16,12 @@ The pitch tracker is batched per clip: it takes up to ``PITCH_CHUNK``
 frames at a time, gates them by RMS, and runs the autocorrelation, the
 peak pick and the parabolic interpolation over all loud frames at once.
 Its bits equal a one-frame-at-a-time tracker's. Batched ``rfft`` and
-``irfft`` keep the bits of per-row calls, but the power spectrum
-``spectrum * conj(spectrum)`` is formed one row at a time on purpose: over
-a stacked array numpy's complex multiply takes a SIMD path that depends on
-the array length and changes the low bits.
+``irfft`` keep the bits of per-row calls, and so does the power spectrum,
+formed as ``np.multiply(spectrum, conj, out=conj)``. The operand order
+matters: the complex product's imaginary part rounds differently with the
+operands swapped, and ``spectrum * np.conjugate(spectrum)`` swaps them once
+the array is large enough for numpy to elide the temporary (it then
+computes ``conj *= spectrum``).
 """
 
 from __future__ import annotations
@@ -205,9 +207,8 @@ def _voiced_pitches(frames: np.ndarray) -> np.ndarray:
 
     # Normalized autocorrelation r(tau) for tau in _LAG_MIN.._LAG_MAX.
     spectrum = np.fft.rfft(frames, n=2 * WIN, axis=1)
-    power = np.empty_like(spectrum)
-    for k in range(len(spectrum)):  # one row at a time: see the module docstring
-        np.multiply(spectrum[k], np.conj(spectrum[k]), out=power[k])
+    power = np.conjugate(spectrum)
+    np.multiply(spectrum, power, out=power)  # operand order: see the module docstring
     raw = np.fft.irfft(power, axis=1)[:, _LAG_MIN : _LAG_MAX + 1]
     energy = np.cumsum(squares, axis=1)  # energy[:, j] = sum x[0..j]^2
     head = energy[:, WIN - 1 - _LAG_MIN : WIN - 2 - _LAG_MAX : -1]  # sum x[0..n-tau-1]^2

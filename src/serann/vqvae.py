@@ -15,7 +15,10 @@ term, scaled by beta, to the encoder alone, as if the codebook were frozen.
 Encoder stack: five conv layers, kernel 3, strides (2,2), (2,2), (2,1),
 (2,1), (5,1). Heights: 80 -> 40 -> 20 -> 10 -> 5 -> 1; widths:
 256 -> 128 -> 64 -> 64 -> 64 -> 64. The final stride-5 layer uses no height
-padding so its window sits on rows 0..2 of the residual 5-row map.
+padding so its window sits on rows 0..2 of the residual 5-row map. Its
+layers do not keep their convolution columns for the backward pass but
+gather them again there (``conv2d``'s ``keep_columns``): kept, all five
+would stay alive through the whole decoder's forward and backward.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class VqVae(Checkpointable):
                     enc_rng.spawn(f"layer{i}"),
                     activation=None if last else "relu",
                     dtype=dtype,
+                    keep_columns=False,
                 )
             )
             in_ch = out_ch
@@ -378,7 +382,10 @@ def codebook_losses(
     def codebook_backprop(g):
         rows = np.zeros_like(codebook.data)
         np.add.at(rows, codes, -_mean_square_grad(g, diff))
-        codebook.accumulate_grad(rows)
+        if codebook.grad is None:  # hand the fresh array over rather than copy it
+            codebook.grad = rows
+        else:
+            codebook.accumulate_grad(rows)
 
     def commitment_backprop(g):
         grad = _mean_square_grad(g * beta, diff)

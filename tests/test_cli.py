@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -988,7 +989,8 @@ def invalid_run(tmp_path, *args, config=None):
 
 class TestInvalidNumbers:
     """Each rejected setting exits 1 with ``error:`` before anything is
-    written or asked, and without a traceback."""
+    written or asked, and without a traceback; an option out of its click
+    range exits 2 instead, naming the option."""
 
     @staticmethod
     def assert_rejected(result, written, message):
@@ -1022,11 +1024,16 @@ class TestInvalidNumbers:
         self.assert_rejected(result, written, "invalid classifier config")
 
     def test_annotate_negative_failure_budget(self, pipeline_dir, tmp_path):
+        # Refused at the click boundary, naming the option; the runner's own
+        # check stays for library callers.
         result, written = invalid_run(
             tmp_path, "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
             "--backend", "mock:keyword", "--failure-budget", "-1", "--out", "OUT/a.jsonl",
         )
-        self.assert_rejected(result, written, "failure_budget must be >= 0")
+        assert_usage_error_line(result, "--failure-budget", "-1 is not in the range x>=0")
+        assert written == []
+        with pytest.raises(ValueError, match="failure_budget must be >= 0"):
+            annotate.annotate_corpus([], annotate.ContextVariant.TEXT_ONLY, None, failure_budget=-1)
 
     @pytest.mark.parametrize("flag, message", [
         (("--rpm", "0"), "requests_per_minute must be positive"),
@@ -1035,12 +1042,21 @@ class TestInvalidNumbers:
         (("--timeout", "nan"), "timeout_s must be a positive finite number, got nan"),
     ])
     def test_annotate_http_settings(self, pipeline_dir, tmp_path, flag, message):
+        # Refused at the click boundary, naming the option; ``BackendConfig``
+        # keeps its own check with ``message`` for library callers.
         result, written = invalid_run(
             tmp_path, "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
             "--backend", "http", "--endpoint", "https://llm.example/v1/chat", "--model", "m",
             *flag, "--out", "OUT/a.jsonl",
         )
-        self.assert_rejected(result, written, f"invalid http backend settings: {message}")
+        option, value = flag
+        assert_usage_error_line(result, option, value)
+        assert written == []
+        field = {"--rpm": "requests_per_minute", "--max-retries": "max_retries",
+                 "--timeout": "timeout_s"}[option]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            annotate.BackendConfig(endpoint="https://llm.example/v1/chat", model="m",
+                                   **{field: type(getattr(annotate.BackendConfig, field))(value)})
 
     def test_annotate_nan_temperature_sends_no_request(self, pipeline_dir, tmp_path, monkeypatch):
         sent = []
@@ -1051,15 +1067,26 @@ class TestInvalidNumbers:
             "--backend", "http", "--endpoint", "https://llm.example/v1/chat", "--model", "m",
             "--temperature", "nan", "--out", "OUT/a.jsonl",
         )
-        message = "invalid http backend settings: temperature must be a finite number, got nan"
-        self.assert_rejected(result, written, message)
-        assert [line for line in result.output.splitlines() if line.strip()] == [f"error: {message}"]
+        assert_usage_error_line(result, "--temperature", "'nan' is not a finite number")
+        assert written == []
         assert sent == []
 
 
+def assert_usage_error_line(result, option, *fragments):
+    """Exit status 2 with one ``Error:`` line that names ``option`` and
+    holds ``fragments``, and no traceback."""
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert f"'{option}'" in line
+    for fragment in fragments:
+        assert fragment in line
+
+
 class TestOptionRanges:
-    """A count, seed or concurrency below its range is a usage error (exit 2)
-    that names the option, before anything is written."""
+    """A count, seed, concurrency, rate, retry limit or failure budget below
+    its range, or a timeout or temperature that is not finite, is a usage
+    error (exit 2) that names the option, before anything is written."""
 
     @pytest.mark.parametrize("option, value", [
         ("--speakers", "0"), ("--per-speaker", "0"), ("--per-speaker", "-4"), ("--seed", "-1"),
@@ -1075,6 +1102,10 @@ class TestOptionRanges:
         ("annotate", "--seed", "-1"),
         ("annotate", "--concurrency", "0"),
         ("annotate", "--concurrency", "-2"),
+        ("annotate", "--failure-budget", "-1"),
+        ("annotate", "--max-retries", "-1"),
+        ("annotate", "--rpm", "0"),
+        ("annotate", "--rpm", "-5"),
         ("train-classifier", "--seed", "-5"),
         ("augment-eval", "--seed", "-1"),
     ])
@@ -1094,6 +1125,25 @@ class TestOptionRanges:
         result = CliRunner().invoke(main, [command, *inputs, option, value,
                                            "--out", str(tmp_path / "out.json")])
         self.assert_usage_error(result, option)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--timeout", "-1", "'-1' is not a positive finite number"),
+        ("--timeout", "0", "'0' is not a positive finite number"),
+        ("--timeout", "inf", "'inf' is not a positive finite number"),
+        ("--timeout", "nan", "'nan' is not a positive finite number"),
+        ("--temperature", "nan", "'nan' is not a finite number"),
+        ("--temperature", "-inf", "'-inf' is not a finite number"),
+        ("--temperature", "x", "'x' is not a valid float"),
+    ])
+    def test_annotate_floats_must_be_finite(self, pipeline_dir, tmp_path, option, value, message):
+        # Any backend: the mock ones ignore these settings, so they were
+        # once accepted there without a word.
+        result = CliRunner().invoke(main, [
+            "annotate", "--manifest", str(pipeline_dir / "corpus" / "manifest.jsonl"),
+            "--backend", "mock:keyword", option, value, "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert_usage_error_line(result, option, message)
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod

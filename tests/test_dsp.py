@@ -446,3 +446,21 @@ class TestFeatureFiles:
         assert a.read_bytes() == b.read_bytes()
         loaded = dsp.load_mel_cache(a)
         np.testing.assert_array_equal(loaded["utt1"], mels["utt1"])
+
+    def test_power_spectrum_keeps_the_per_row_bits_at_every_chunk_height(self):
+        # ``_voiced_pitches`` forms the power spectrum of up to PITCH_CHUNK
+        # loud frames as one multiply, spectrum first. That keeps the bits
+        # of one row at a time; the swapped operand order does not.
+        gen = np.random.default_rng(5)
+        for rows in range(1, dsp.PITCH_CHUNK + 1):
+            frames = gen.uniform(-0.5, 0.5, (rows, dsp.WIN))
+            spectrum = np.fft.rfft(frames, n=2 * dsp.WIN, axis=1)
+            per_row = np.empty_like(spectrum)
+            for k in range(rows):
+                np.multiply(spectrum[k], np.conj(spectrum[k]), out=per_row[k])
+            batched = np.conjugate(spectrum)
+            np.multiply(spectrum, batched, out=batched)
+            assert batched.tobytes() == per_row.tobytes(), rows
+            swapped = np.conjugate(spectrum)
+            np.multiply(swapped, spectrum, out=swapped)
+            assert swapped.imag.tobytes() != per_row.imag.tobytes(), rows

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -221,7 +222,7 @@ def conv_case(name, transpose):
     return (
         shape, kernel, kernel[1] if transpose else kernel[0],
         kernel[1] * kernel[2] * kernel[3] * positions,
-        lambda x, k, b, act: op(x, k, *args, bias=b, activation=act),
+        lambda x, k, b, act, **kw: op(x, k, *args, bias=b, activation=act, **kw),
         lambda x, k, b, act: ref(x, k, *args, bias=b, activation=act),
     )
 
@@ -348,6 +349,9 @@ class TestStreamedForward:
         chunks.clear()
         op(x, k, None, "relu")  # the kernel gradient needs the whole batch's columns
         assert chunks == [7]
+        chunks.clear()
+        op(x, k, None, "relu", keep_columns=False)  # its adjoint gathers them again
+        assert chunks == [3, 3, 1]
 
     def test_untaped_paper_conv2_peaks_at_its_output_plus_a_few_chunks(self):
         # Paper-size classifier conv2 at the predict batch: the whole-batch
@@ -365,6 +369,67 @@ class TestStreamedForward:
             tracemalloc.stop()
         assert out.shape == (64, 64, 20, 64)
         assert peak < out.data.nbytes + 4 * chunk_bytes
+
+
+class TestRegatheredColumns:
+    """With ``keep_columns=False`` a taped ``conv2d`` streams its forward and
+    its adjoint gathers the columns again: every output and gradient bit
+    equal to the call that keeps them."""
+
+    @pytest.mark.parametrize("name", [n for n in CONV_LAYERS if not n.startswith("classifier")])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_samples", [3, None])
+    def test_bitwise_equal_to_kept_columns(self, monkeypatch, name, dtype, chunk_samples):
+        shape, kernel, channels, per_sample, op, _ = conv_case(name, False)
+        if chunk_samples is not None:
+            monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", chunk_samples * per_sample)
+        regathered = functools.partial(op, keep_columns=False)
+        for batch in (1, 7, 64):
+            for bias, activation, x_grad in ((None, None, False), (channels, "relu", True)):
+                case = ((batch,) + shape, kernel, bias, dtype, activation, x_grad)
+                assert_same_bits(forward_backward(regathered, *case), forward_backward(op, *case))
+
+    def test_adjoint_gathers_a_chunk_of_samples_at_a_time(self, monkeypatch):
+        shape, kernel, _, per_sample, op, _ = conv_case("vqvae.enc1", False)
+        monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", 3 * per_sample)
+        gathered = []
+        windows = ops._windows
+        monkeypatch.setattr(ops, "_windows", lambda xp, *a: gathered.append(len(xp)) or windows(xp, *a))
+        gen = np.random.default_rng(3)
+        x = Tensor(gen.normal(size=(7,) + shape), requires_grad=True)
+        out = op(x, Tensor(gen.normal(size=kernel), requires_grad=True), None, None,
+                 keep_columns=False)
+        assert gathered == [3, 3, 1]
+        gathered.clear()
+        tensor_sum(out).backward()
+        assert gathered == [3, 3, 1]
+
+    @pytest.mark.parametrize("keep_columns", [True, False])
+    def test_frozen_kernels_gather_no_columns_for_the_adjoint(self, monkeypatch, keep_columns):
+        shape, kernel, channels, per_sample, op, _ = conv_case("classifier.conv2", False)
+        monkeypatch.setattr(ops, "_CHUNK_ELEMENTS", 3 * per_sample)
+        gathered = []
+        windows = ops._windows
+        monkeypatch.setattr(ops, "_windows", lambda xp, *a: gathered.append(len(xp)) or windows(xp, *a))
+        gen = np.random.default_rng(8)
+        x_data, k_data = gen.normal(size=(7,) + shape), gen.normal(size=kernel)
+        b = Tensor(gen.normal(size=channels), requires_grad=True)
+        weights = Tensor(gen.normal(size=(7, kernel[0], 20, 64)))
+
+        def x_grad(trainable):
+            x = Tensor(x_data, requires_grad=True)
+            k = Tensor(k_data, requires_grad=trainable)
+            out = op(x, k, b, "relu", keep_columns=keep_columns)
+            forward = gathered.copy()
+            gathered.clear()
+            tensor_sum(reference_mul(out, weights)).backward()
+            return forward, x.grad
+
+        forward, frozen = x_grad(False)
+        # The forward streams as an untaped call does, and the adjoint
+        # gathers nothing: no columns are held for a kernel gradient.
+        assert forward == [3, 3, 1] and gathered == []
+        assert frozen.tobytes() == x_grad(True)[1].tobytes()
 
 
 class TestConvLayers:
